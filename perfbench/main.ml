@@ -72,6 +72,20 @@ let run_workload argv =
   let expected = List.map fst (if trace then Layers.per_layer else Layers.end_to_end) in
   if List.map fst o.Outcome.metrics <> expected then
     failwith "metrics do not match the registry";
+  (* a metric that could not be measured (no samples) reads 0 and fails
+     the run, so the result line stays valid JSON *)
+  let unmeasured = List.filter (fun (_, v) -> not (Float.is_finite v)) o.Outcome.metrics in
+  let o =
+    {
+      o with
+      Outcome.metrics =
+        List.map (fun (n, v) -> (n, if Float.is_finite v then v else 0.0)) o.Outcome.metrics;
+      checks =
+        o.Outcome.checks
+        @ (if unmeasured = [] then []
+           else [ Outcome.check ("measured: " ^ String.concat ", " (List.map fst unmeasured)) false ]);
+    }
+  in
   print_endline
     (J.to_string
        (J.Obj
