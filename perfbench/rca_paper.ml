@@ -65,6 +65,7 @@ let untraced ~seed ~seconds : Outcome.t =
       [
         ("digest", Option.fold ~none:J.Null ~some:(fun d -> J.Str d) !first);
         ("rca_s", J.Arr (List.map (fun t -> J.Num t) times));
+        ("rca_samples", J.num (List.length times));
         ("setup_samples", J.num (List.length setups));
         ("setup", J.Str "process start-up to the first benchmark line (median of 15 spawns)");
       ];

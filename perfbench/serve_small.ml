@@ -23,12 +23,6 @@ let cache_capacity = 64
 let universe_size = 32 * cache_capacity
 let zipf_s = 1.0
 let detector = "greedy"
-(* Connections of the closed loop, multiplexed from this one thread.  One,
-   although the loop drives any number: with two on a 2-core host,
-   client, reactor and worker contend for the cores, and run-to-run
-   throughput spread 22-30% with the hypervisor's steal time (2-8% in
-   those runs, under 1% with one connection, whose spread was 9%). *)
-let connections = 1
 
 (* Requests per phase of a traced run: one untraced and one traced
    daemon answer the same prefix of the stream. *)
@@ -113,8 +107,7 @@ let spawn_daemon ~snapshot ~socket ~summary =
 
 (* ---- line protocol -------------------------------------------------------- *)
 
-type conn = { fd : Unix.file_descr; buf : Buffer.t; mutable pending : pending option }
-and pending = { index : int; key : Keystream.key; sent : float }
+type conn = { fd : Unix.file_descr; buf : Buffer.t }
 
 let write_all fd s =
   let b = Bytes.of_string s in
@@ -126,7 +119,11 @@ let write_all fd s =
 (* Complete lines now buffered on [c], after one read. *)
 let read_lines c =
   let chunk = Bytes.create 65536 in
-  let n = Unix.read c.fd chunk 0 (Bytes.length chunk) in
+  let n =
+    try Unix.read c.fd chunk 0 (Bytes.length chunk)
+    with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+      failwith "serve-small: no reply within 60 s"
+  in
   if n = 0 then failwith "daemon closed the connection";
   Buffer.add_subbytes c.buf chunk 0 n;
   let data = Buffer.contents c.buf in
@@ -142,7 +139,9 @@ let connect socket =
   let rec go () =
     let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     match Unix.connect fd (Unix.ADDR_UNIX socket) with
-    | () -> { fd; buf = Buffer.create 4096; pending = None }
+    | () ->
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 60.0;
+        { fd; buf = Buffer.create 4096 }
     | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
       when Proc.now_s () < deadline ->
         Unix.close fd;
@@ -271,148 +270,72 @@ let request_line ~index (key : Keystream.key) =
 
 let num_field v name = match J.member name v with Some (J.Num f) -> f | _ -> Float.nan
 
-(* A reply as the load loop needs it; [decoded] only when fully parsed. *)
-type reply = { cached : bool; payload : string; decoded : J.t option }
+(* An ok reply to request [index]: its cached flag, its payload and the
+   decoded reply; [None] for anything else. *)
+type reply = { cached : bool; payload : string; decoded : J.t }
 
-(* Full decode of the reply to request [index]; [None] unless it is an
-   ok reply carrying that id. *)
 let decode_reply ~index line =
   match J.of_string line with
   | Ok v when J.member "status" v = Some (J.Str "ok") && num_field v "id" = float_of_int index ->
-      Some
-        { cached = J.member "cached" v = Some (J.Bool true); payload = payload v; decoded = Some v }
+      Some { cached = J.member "cached" v = Some (J.Bool true); payload = payload v; decoded = v }
   | Ok _ | Error _ -> None
 
-let find_from s sub i =
-  let n = String.length s and m = String.length sub in
-  let rec go i =
-    if i + m > n then None else if String.sub s i m = sub then Some i else go (i + 1)
-  in
-  go i
-
-let rfind s sub =
-  let m = String.length sub in
-  let rec go i = if i < 0 then None else if String.sub s i m = sub then Some i else go (i - 1) in
-  go (String.length s - m)
-
-(* The same reply cut from the line without parsing it: the daemon
-   renders id, status and cached first, the payload fields next and
-   elapsed_ms last.  Only used once a full decode of the run's first
-   reply has agreed with it, so the client spends microseconds per reply
-   and leaves the cores to the daemon. *)
-let cut_reply ~index line =
-  let prefix = Printf.sprintf {|{"id":%d,"status":"ok","cached":|} index in
-  if not (String.starts_with ~prefix line) then None
-  else
-    let at = String.length prefix in
-    match (find_from line {|"targets":|} at, rfind line {|,"elapsed_ms":|}) with
-    | Some i, Some j when i < j ->
-        Some
-          {
-            cached = String.length line >= at + 4 && String.sub line at 4 = "true";
-            payload = "{" ^ String.sub line i (j - i) ^ "}";
-            decoded = None;
-          }
-    | _ -> None
-
-(* Drive [conns] in a closed loop until [stop index elapsed] says no more
-   requests.  [payloads] maps each key to the first payload seen for it;
-   every later reply for that key must repeat it.  [cold_keys] collects
-   the keys the daemon computed.  [timed_codec] decodes and re-encodes
-   every reply, timing both; [keep_payloads] keeps each request's payload
-   for a digest of the phase. *)
-let run_phase ~tally ~timed_codec ~keep_payloads ~conns ~stream ~universe ~stop ~payloads
+(* Drive [conn] in a closed loop until [stop index elapsed] says no more
+   requests: each request is sent when the previous reply has arrived.
+   [payloads] maps each key to the first payload seen for it; every later
+   reply for that key must repeat it.  [cold_keys] collects the keys the
+   daemon computed.  [timed_codec] times the decode of every reply and a
+   re-encode of it; [keep_payloads] keeps each request's payload for a
+   digest of the phase. *)
+let run_phase ~tally ~timed_codec ~keep_payloads ~conn ~stream ~universe ~stop ~payloads
     ~cold_keys =
   let ph = new_phase () in
-  let next = ref 0 in
   let t_start = Proc.now_s () in
-  let send c =
-    if not (stop !next (Proc.now_s () -. t_start)) then begin
-      let index = !next in
-      incr next;
-      let key = universe.(Keystream.next stream) in
-      let sent = Proc.now_s () in
-      write_all c.fd (request_line ~index key ^ "\n");
-      c.pending <- Some { index; key; sent }
-    end
-  in
-  List.iter send conns;
-  let fast = ref None in
-  let parse ~index line =
-    if timed_codec then begin
-      let t0 = Proc.now_s () in
-      let r = decode_reply ~index line in
-      let t1 = Proc.now_s () in
+  let index = ref 0 in
+  while not (stop !index (Proc.now_s () -. t_start)) do
+    let key = universe.(Keystream.next stream) in
+    let request = request_line ~index:!index key in
+    let sent = Proc.now_s () in
+    let line = call conn request in
+    let ms = 1e3 *. (Proc.now_s () -. sent) in
+    let t0 = Proc.now_s () in
+    let r = decode_reply ~index:!index line in
+    if timed_codec then
       Option.iter
         (fun { decoded; _ } ->
-          Option.iter (fun v -> ignore (J.to_string v)) decoded;
+          let t1 = Proc.now_s () in
+          ignore (J.to_string decoded);
           ph.decode_ms <- 1e3 *. (t1 -. t0) :: ph.decode_ms;
           ph.encode_ms <- 1e3 *. (Proc.now_s () -. t1) :: ph.encode_ms)
         r;
-      r
-    end
-    else
-      match !fast with
-      | Some true -> cut_reply ~index line
-      | Some false -> decode_reply ~index line
-      | None ->
-          let full = decode_reply ~index line in
-          let flag_and_payload = Option.map (fun r -> (r.cached, r.payload)) in
-          fast :=
-            Some (full <> None && flag_and_payload (cut_reply ~index line) = flag_and_payload full);
-          full
-  in
-  let handle (c, now, line) =
-    match c.pending with
-    | None -> Outcome.record tally ~what:"serve-small: unsolicited reply" false
-    | Some p ->
-        c.pending <- None;
-        let ok =
-          match parse ~index:p.index line with
-          | None -> false
-          | Some r ->
-              let ms = 1e3 *. (now -. p.sent) in
-              if r.cached then ph.warm <- ms :: ph.warm
-              else begin
-                ph.cold <- ms :: ph.cold;
-                Hashtbl.replace cold_keys p.key ();
-                Option.iter
-                  (fun v ->
-                    ph.cold_elapsed <- num_field v "elapsed_ms" :: ph.cold_elapsed;
-                    let size name = num_field v name in
-                    ph.cold_sizes <-
-                      (size "slice_nodes", size "iterations", size "final_nodes") :: ph.cold_sizes)
-                  r.decoded
-              end;
-              ph.replies <- ph.replies + 1;
-              ph.reply_bytes <- ph.reply_bytes + String.length line + 1;
-              if keep_payloads then Hashtbl.replace ph.by_index p.index r.payload;
-              (match Hashtbl.find_opt payloads p.key with
-              | None ->
-                  Hashtbl.replace payloads p.key r.payload;
-                  true
-              | Some first -> first = r.payload)
-        in
-        Outcome.record tally
-          ~what:
-            (Printf.sprintf "serve-small: request %d: %s" p.index
-               (String.sub line 0 (min 200 (String.length line))))
-          ok;
-        send c
-  in
-  while List.exists (fun c -> c.pending <> None) conns do
-    let fds = List.filter_map (fun c -> if c.pending <> None then Some c.fd else None) conns in
-    match Unix.select fds [] [] 60.0 with
-    | [], _, _ -> failwith "serve-small: no reply within 60 s"
-    | ready, _, _ ->
-        (* stamp every reply that has arrived before handling any, so one
-           reply's handling does not count against the other's latency *)
-        List.filter (fun c -> List.mem c.fd ready) conns
-        |> List.concat_map (fun c ->
-               let lines = read_lines c in
-               let now = Proc.now_s () in
-               List.map (fun line -> (c, now, line)) lines)
-        |> List.iter handle
+    let ok =
+      match r with
+      | None -> false
+      | Some r ->
+          if r.cached then ph.warm <- ms :: ph.warm
+          else begin
+            ph.cold <- ms :: ph.cold;
+            Hashtbl.replace cold_keys key ();
+            let size name = num_field r.decoded name in
+            ph.cold_elapsed <- size "elapsed_ms" :: ph.cold_elapsed;
+            ph.cold_sizes <-
+              (size "slice_nodes", size "iterations", size "final_nodes") :: ph.cold_sizes
+          end;
+          ph.replies <- ph.replies + 1;
+          ph.reply_bytes <- ph.reply_bytes + String.length line + 1;
+          if keep_payloads then Hashtbl.replace ph.by_index !index r.payload;
+          (match Hashtbl.find_opt payloads key with
+          | None ->
+              Hashtbl.replace payloads key r.payload;
+              true
+          | Some first -> first = r.payload)
+    in
+    Outcome.record tally
+      ~what:
+        (Printf.sprintf "serve-small: request %d: %s" !index
+           (String.sub line 0 (min 200 (String.length line))))
+      ok;
+    incr index
   done;
   ph.duration <- Proc.now_s () -. t_start;
   ph
@@ -444,7 +367,7 @@ let load_shape () =
   J.Obj
     [
       ("loop", J.Str "closed");
-      ("connections", J.num connections);
+      ("connections", J.num 1);  (* why one: WORKLOADS.md, "Load shape" *)
       ("threads", J.num 1);
       ("cache_capacity", J.num cache_capacity);
       ("key_universe", J.num universe_size);
@@ -496,23 +419,21 @@ let untraced ~seed ~seconds : Outcome.t =
         (Proc.now_s () -. t0, snapshot, socket, pid, c))
   in
   List.iteri (fun i (_, _, _, pid, c) -> if i < 2 then shutdown pid c) setups;
-  let _, snapshot, socket, pid, admin = List.nth setups 2 in
+  let _, snapshot, _, pid, conn = List.nth setups 2 in
   let snap =
     match Snapshot.load snapshot with Ok s -> s | Error msg -> failwith ("snapshot load: " ^ msg)
   in
   let universe, stream = stream_for seed snap in
   let tally = Outcome.tally () in
   let payloads = Hashtbl.create 1024 and cold_keys = Hashtbl.create 1024 in
-  let conns = List.init connections (fun _ -> connect socket) in
   let ph =
-    run_phase ~tally ~timed_codec:false ~keep_payloads:false ~conns ~stream ~universe
+    run_phase ~tally ~timed_codec:false ~keep_payloads:false ~conn ~stream ~universe
       ~stop:(fun _ elapsed -> elapsed >= seconds)
       ~payloads ~cold_keys
   in
-  let stats = op admin "stats" in
+  let stats = op conn "stats" in
   let rss = Proc.peak_rss_mb pid in
-  List.iter (fun c -> Unix.close c.fd) conns;
-  shutdown pid admin;
+  shutdown pid conn;
   check_cold_keys ~tally ~seed snap ~payloads ~cold_keys;
   remove_tree dir;
   let cold = Summary.of_samples ph.cold and warm = Summary.of_samples ph.warm in
@@ -563,18 +484,16 @@ let traced ~seed ~trace_path : Outcome.t =
   let run_daemon ~summary ~timed_codec =
     let socket = Printf.sprintf "%s/d-%s.sock" dir (if summary = "-" then "plain" else "traced") in
     let pid = spawn_daemon ~snapshot ~socket ~summary in
-    let admin = connect socket in
-    ignore (op admin "ping");
+    let conn = connect socket in
+    ignore (op conn "ping");
     let universe, stream = stream_for seed snap in
-    let conns = List.init connections (fun _ -> connect socket) in
     let ph =
-      run_phase ~tally ~timed_codec ~keep_payloads:true ~conns ~stream ~universe
+      run_phase ~tally ~timed_codec ~keep_payloads:true ~conn ~stream ~universe
         ~stop:(fun index _ -> index >= traced_requests)
         ~payloads ~cold_keys
     in
-    let stats = op admin "stats" in
-    List.iter (fun c -> Unix.close c.fd) conns;
-    shutdown pid admin;
+    let stats = op conn "stats" in
+    shutdown pid conn;
     (ph, stats)
   in
   let plain, _ = run_daemon ~summary:"-" ~timed_codec:false in
