@@ -12,9 +12,8 @@
                           target's telemetry as JSON
           --domains N     pool size for the parallel `gn` runs (default 4)
           --detector NAME community detector for the `pipeline`/`refine`/
-                          `campaign` targets (gn|gn-adaptive|greedy|
-                          louvain|lp; parsed by the same helper as
-                          rca_main's --detector)
+                          `campaign` targets (gn|greedy; parsed by the
+                          same helper as rca_main's --detector)
           --trace PATH    record the run under lib/obs and write a Chrome
                           trace-event JSON (`gn`, `pipeline` and `refine`
                           targets)
@@ -707,10 +706,10 @@ let run_refine_bench ~json ~trace ~domains ~partitioner () =
 
 (* The Girvan–Newman wall, measured: partition the GOFFGRATCH slice at
    small / paper / huge scale with each community detector (exact
-   incremental G-N, adaptive source-sampled G-N, modularity-greedy) and
-   record seconds + partition quality per (scale, detector); at small and
-   paper also run the end-to-end pipeline per detector and require
-   located_bugs to be identical — the oracle that gates the speedup.
+   incremental G-N, modularity-greedy) and record seconds + partition
+   quality per (scale, detector); at small and paper also run the
+   end-to-end pipeline per detector and require located_bugs to be
+   identical — the oracle that gates the speedup.
    Exact G-N is skipped at huge (that infeasibility is the point of the
    fast detectors).  Also times the paper-scale pipeline at 1 vs
    [domains] domains: with adaptive pool usage the parallel run must not
@@ -778,12 +777,6 @@ let run_scaling_bench ~json ~domains () =
               ignore (record_partition "gn" t step.G.Community.partition);
               if label = "paper" then paper_exact_t := t
             end;
-            let astep, t_adaptive =
-              timeit (fun () ->
-                  G.Community.girvan_newman_step
-                    ~adaptive:G.Community.default_adaptive sg)
-            in
-            ignore (record_partition "gn-adaptive" t_adaptive astep.G.Community.partition);
             let greedy_p, t_greedy = timeit (fun () -> G.Community.modularity_greedy sg) in
             let greedy_q = record_partition "greedy" t_greedy greedy_p in
             if label = "paper" then begin
@@ -821,7 +814,7 @@ let run_scaling_bench ~json ~domains () =
                         located )
                       :: !pipeline_rows;
                     located)
-                  [ R.Girvan_newman; R.Gn_adaptive; R.Modularity_greedy ]
+                  R.partitioners
               in
               match located_sets with
               | ref_set :: rest ->
@@ -1579,7 +1572,7 @@ let parse_args args =
         match Rca_core.Refine.partitioner_of_string name with
         | Some p -> go targets json trace domains p rest
         | None ->
-            Printf.eprintf "unknown detector %S (gn|gn-adaptive|greedy|louvain|lp)\n" name;
+            Printf.eprintf "unknown detector %S (%s)\n" name Rca_core.Refine.partitioner_names;
             exit 1)
     | ("--json" | "--trace" | "--domains" | "--detector") :: [] ->
         Printf.eprintf "missing value for flag\n";

@@ -49,7 +49,8 @@ let partitioner_conv =
         | None ->
             Error
               (`Msg
-                 (Printf.sprintf "unknown detector %S (gn|gn-adaptive|greedy|louvain|lp)" s))),
+                 (Printf.sprintf "unknown detector %S (%s)" s
+                    Rca_core.Refine.partitioner_names))),
       fun ppf p -> Format.fprintf ppf "%s" (Rca_core.Refine.partitioner_string p) )
 
 let detector_arg =
@@ -58,10 +59,11 @@ let detector_arg =
     & opt partitioner_conv Rca_core.Refine.Girvan_newman
     & info [ "detector" ] ~docv:"NAME"
         ~doc:
-          "Community detector for the refinement's step 5: $(b,gn) (exact incremental \
-           Girvan-Newman, the paper's), $(b,gn-adaptive) (G-N with adaptive \
-           source-sampled Brandes), $(b,greedy) (deterministic modularity-greedy \
-           agglomeration), $(b,louvain), or $(b,lp) (label propagation).")
+          (Printf.sprintf
+             "Community detector for the refinement's step 5, one of %s: $(b,gn) \
+              (exact incremental Girvan-Newman, the paper's) or $(b,greedy) \
+              (deterministic modularity-greedy agglomeration)."
+             Rca_core.Refine.partitioner_names))
 
 let members_arg =
   Arg.(
@@ -712,7 +714,8 @@ let query_cmd =
     Arg.(
       value
       & opt (some string) None
-      & info [ "detector" ] ~docv:"NAME" ~doc:"Community detector (gn|gn-adaptive|greedy|louvain|lp).")
+      & info [ "detector" ] ~docv:"NAME"
+          ~doc:(Printf.sprintf "Community detector (%s)." Rca_core.Refine.partitioner_names))
   in
   let engine_arg =
     Arg.(

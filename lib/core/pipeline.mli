@@ -35,9 +35,9 @@ val run :
     the Section 6.3 narrowing fallback for non-refining 8b iterations —
     {!Refine.smallest_ancestry} partially applied to the metagraph is
     the usual choice.  [partitioner] (default {!Refine.Girvan_newman})
-    selects the step-5 community detector — the approximate detectors
-    ([Gn_adaptive], [Modularity_greedy]) may partition differently but
-    are gated on the located-bugs oracle.  [domains] (default 1)
+    selects the step-5 community detector — [Modularity_greedy] may
+    partition differently from G-N but is gated on the located-bugs
+    oracle.  [domains] (default 1)
     parallelizes the refinement's community and centrality hot paths
     over a domain pool without changing results; [pool] shares an
     existing pool across runs instead (overrides [domains]).

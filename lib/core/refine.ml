@@ -69,35 +69,24 @@ let ancestors_within (mg : MG.t) nodes targets =
   |> List.sort compare
 
 (* Community method for step 5: the paper uses one Girvan-Newman
-   iteration; the alternatives its Section 5.2/6.3 remarks invite are the
-   fast detectors — adaptive source-sampled G-N, deterministic
-   modularity-greedy agglomeration — plus Louvain and label propagation.
-   Approximate detectors are judged by the quality harness
-   (Rca_graph.Quality) and the end-to-end located_bugs oracle, not by
-   bitwise identity with exact G-N. *)
-type partitioner =
-  | Girvan_newman
-  | Gn_adaptive
-  | Modularity_greedy
-  | Louvain
-  | Label_propagation
+   iteration; deterministic modularity-greedy agglomeration is the fast
+   alternative its Section 5.2/6.3 remarks invite.  Greedy is judged by
+   the quality harness (Rca_graph.Quality) and the end-to-end
+   located_bugs oracle, not by bitwise identity with G-N. *)
+type partitioner = Girvan_newman | Modularity_greedy
+
+let partitioners = [ Girvan_newman; Modularity_greedy ]
 
 let partitioner_string = function
   | Girvan_newman -> "gn"
-  | Gn_adaptive -> "gn-adaptive"
   | Modularity_greedy -> "greedy"
-  | Louvain -> "louvain"
-  | Label_propagation -> "lp"
 
-(* One detector-name parser shared by every CLI surface (bin/rca_main
-   and bench/main) so the flag vocabularies cannot drift. *)
-let partitioner_of_string = function
-  | "gn" | "girvan-newman" | "exact" -> Some Girvan_newman
-  | "gn-adaptive" | "adaptive" | "sampled" -> Some Gn_adaptive
-  | "greedy" | "modularity-greedy" | "leiden" -> Some Modularity_greedy
-  | "louvain" -> Some Louvain
-  | "lp" | "label-propagation" -> Some Label_propagation
-  | _ -> None
+(* One detector vocabulary shared by every surface (bin/rca_main,
+   bench/main, the serve daemon) so the names cannot drift. *)
+let partitioner_names = String.concat "|" (List.map partitioner_string partitioners)
+
+let partitioner_of_string s =
+  List.find_opt (fun p -> partitioner_string p = s) partitioners
 
 let induced_sub ?frozen (mg : MG.t) nodes =
   match frozen with
@@ -121,13 +110,7 @@ let communities_of (mg : MG.t) ?gn_approx ?(min_community = 3)
         | Girvan_newman ->
             (G.Community.girvan_newman_step ?approx:gn_approx ?pool sub.G.Digraph.graph)
               .G.Community.partition
-        | Gn_adaptive ->
-            (G.Community.girvan_newman_step ?approx:gn_approx
-               ~adaptive:G.Community.default_adaptive ?pool sub.G.Digraph.graph)
-              .G.Community.partition
         | Modularity_greedy -> G.Community.modularity_greedy sub.G.Digraph.graph
-        | Louvain -> G.Community.louvain sub.G.Digraph.graph
-        | Label_propagation -> G.Community.label_propagation sub.G.Digraph.graph
       in
       G.Community.significant_communities ~min_size:min_community partition
       |> List.map (fun comm -> List.map (G.Digraph.sub_to_parent sub) comm)

@@ -44,26 +44,25 @@ val ancestors_within : MG.t -> int list -> int list -> int list
 
 type partitioner =
   | Girvan_newman  (** exact incremental G-N — the paper's detector *)
-  | Gn_adaptive
-      (** G-N with adaptive source-sampled Brandes per rescore
-          ({!Rca_graph.Community.default_adaptive}): same split loop, each
-          betweenness recomputation stops as soon as a Hoeffding-style
-          bound certifies the argmax edge *)
   | Modularity_greedy
       (** deterministic modularity-greedy agglomeration
           ({!Rca_graph.Community.modularity_greedy}); on the masked engine
           it runs directly on the frozen CSR with no induced subgraph *)
-  | Louvain
-  | Label_propagation
+
+val partitioners : partitioner list
+(** Every detector, in CLI order. *)
 
 val partitioner_string : partitioner -> string
-(** Canonical CLI name: gn | gn-adaptive | greedy | louvain | lp. *)
+(** CLI name: gn | greedy. *)
+
+val partitioner_names : string
+(** The CLI names joined with ['|'] — the one list every [--detector]
+    doc and unknown-detector error quotes. *)
 
 val partitioner_of_string : string -> partitioner option
-(** Parse a detector name (canonical names plus aliases girvan-newman /
-    exact, adaptive / sampled, modularity-greedy / leiden,
-    label-propagation).  The single parser behind every [--detector]
-    flag. *)
+(** Inverse of {!partitioner_string}; [None] for any other name.  The
+    single parser behind every [--detector] flag and the daemon's
+    ["detector"] field. *)
 
 val communities_of :
   MG.t ->

@@ -1,8 +1,8 @@
 (* Ablation study over the pipeline's design choices (DESIGN.md's
    per-experiment index calls these out):
 
-   - community detection method (Girvan–Newman / Louvain / label
-     propagation / none, i.e. sampling the whole slice);
+   - community detection method (Girvan–Newman / modularity-greedy /
+     none, i.e. sampling the whole slice);
    - node-importance measure (eigenvector in-centrality / PageRank /
      in-degree / Hashimoto non-backtracking);
    - samples per community (m).
@@ -36,14 +36,8 @@ let default_variants =
       m_sample = 10;
     };
     {
-      label = "Louvain + eigenvector in, m=10";
-      partitioner = Some Rca_core.Refine.Louvain;
-      measure = Rca_core.Refine.Eigenvector_in;
-      m_sample = 10;
-    };
-    {
-      label = "label propagation + eigenvector in, m=10";
-      partitioner = Some Rca_core.Refine.Label_propagation;
+      label = "modularity-greedy + eigenvector in, m=10";
+      partitioner = Some Rca_core.Refine.Modularity_greedy;
       measure = Rca_core.Refine.Eigenvector_in;
       m_sample = 10;
     };

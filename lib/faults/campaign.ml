@@ -85,7 +85,7 @@ type scored = {
   s_refine_outcome : string;
   s_quality : Rca_graph.Quality.report option;
       (* first iteration's partition quality (None when the refinement
-         never split) — how the approximate detectors are judged beyond
+         never split) — how the greedy detector is judged beyond
          the located-bugs oracle *)
 }
 

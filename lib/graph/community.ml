@@ -9,9 +9,9 @@
    Exact G-N recomputes full edge betweenness after every removal, which is
    O(n·m) per removal.  We keep that as the reference implementation and
    additionally support source-sampled betweenness (`approx`) for the large
-   paper-scale subgraphs, plus asynchronous label propagation as a cheap
-   alternative partitioner (an extension the paper's "numerous algorithms
-   for graph partitioning" remark invites). *)
+   paper-scale subgraphs, plus a deterministic modularity-greedy
+   agglomeration as the fast alternative partitioner (an extension the
+   paper's "numerous algorithms for graph partitioning" remark invites). *)
 
 type partition = {
   labels : int array;  (* node -> community id, 0-based *)
@@ -101,35 +101,6 @@ type gn_step = {
   removed_edges : (int * int) list;  (* undirected pairs removed *)
 }
 
-(* Adaptive source sampling for the incremental engine (Hoeffding-style,
-   after Brandes & Pich 2007 / Riondato & Kornaropoulos 2014's sampled
-   Brandes): per dirty component, accumulate dependency contributions
-   from a growing prefix of a deterministically shuffled source order and
-   stop as soon as the error bound certifies the argmax edge (or the
-   absolute accuracy floor).  One BFS source [s] contributes at most
-   [n_c - 1] to any undirected edge's dependency (every other node
-   reached through it at most fractionally), so by Hoeffding the
-   estimate [est = (n_c/k) * sum over k sampled sources] satisfies
-
-     |est - exact| <= n_c * (n_c - 1) * sqrt(ln(2 m_c / delta) / (2 k))
-
-   simultaneously for all [m_c] candidate edges with probability
-   [1 - delta].  Sampling stops when the top-two gap is at least twice
-   that bound (the argmax cannot flip), when the bound itself drops to
-   [epsilon] of the maximum possible score [n_c * (n_c - 1)], or when
-   [k = n_c] — in which case the engine discards the samples and re-runs
-   the exact ascending-order accumulation, so a fully sampled component
-   is bitwise the exact engine's. *)
-type adaptive = {
-  ad_epsilon : float;  (* absolute error floor, fraction of n_c*(n_c-1) *)
-  ad_delta : float;  (* per-recomputation failure probability budget *)
-  ad_seed : int;  (* SplitMix seed for the shuffled source orders *)
-  ad_min_samples : int;  (* first batch size; components up to twice this run exact *)
-}
-
-let default_adaptive =
-  { ad_epsilon = 0.1; ad_delta = 0.1; ad_seed = 0x5eed; ad_min_samples = 64 }
-
 (* --- the shared Girvan–Newman removal loop -------------------------------- *)
 
 (* Both G-N entry points (one-split step, run-to-target) and both engines
@@ -202,7 +173,7 @@ let reference_driver ?approx ?pool g =
    reference's global chunking, which perturbs sums by last-ulp noise —
    absorbed by the relative 1e-9 margin of [Betweenness.beats], exactly
    as for sequential-vs-parallel. *)
-let incremental_driver ?approx ?adaptive ?pool g =
+let incremental_driver ?approx ?pool g =
   let work = Digraph.to_undirected g in
   let csr = Csr.of_digraph work in
   let n = csr.Csr.n and m = csr.Csr.m in
@@ -247,9 +218,7 @@ let incremental_driver ?approx ?adaptive ?pool g =
     Array.sort compare nodes;
     (nodes, gen)
   in
-  (* initial component labeling (components remembered in discovery
-     order for the adaptive mode's initial per-component scoring) *)
-  let initial_comps = ref [] in
+  (* initial component labeling *)
   for v = 0 to n - 1 do
     if comp.(v) = -1 then begin
       let nodes, _ = bfs v in
@@ -257,11 +226,9 @@ let incremental_driver ?approx ?adaptive ?pool g =
       incr next_comp;
       incr ncomps;
       Array.iter (fun x -> comp.(x) <- c) nodes;
-      Hashtbl.replace members c nodes;
-      initial_comps := nodes :: !initial_comps
+      Hashtbl.replace members c nodes
     end
   done;
-  let initial_comps = List.rev !initial_comps in
   (* Sequential per-component scratch, reused across removals; the
      reset-in-O(visited) contract keeps small components cheap. *)
   let scratch = Betweenness.make_csr_scratch csr in
@@ -281,105 +248,14 @@ let incremental_driver ?approx ?adaptive ?pool g =
       (fun s -> Betweenness.csr_accumulate_from csr ~alive scratch ~node_bc ~edge_bc s)
       srcs
   in
-  (* Adaptive rescoring of one component: grow a deterministic shuffled
-     sample until the Hoeffding bound certifies the argmax (see the
-     [adaptive] type above).  Scores left in [edge_bc] are the scaled
-     estimates [raw * n_c/k]; a fully sampled component falls back to
-     the exact ascending accumulation, bitwise the exact engine's. *)
-  let adaptive_recompute a nodes =
-    let nc = Array.length nodes in
-    Rca_obs.Obs.span
-      ~args:[ ("component_nodes", Rca_obs.Obs.Int nc) ]
-      "gn.recompute_adaptive"
-    @@ fun () ->
-    zero_component nodes;
-    Rca_obs.Obs.incr "gn.components_rescored";
-    let exact () =
-      Rca_obs.Obs.incr ~by:nc "gn.sources_rescored";
-      accumulate_exact ~scratch ~node_bc:scratch_node_bc nodes
-    in
-    if nc <= 2 * a.ad_min_samples then exact ()
-    else begin
-      (* the shuffled order is a pure function of the component and the
-         seed: independent of pool size, removal history and wall clock *)
-      let order = Array.copy nodes in
-      let rng = Rca_rng.Splitmix.create (a.ad_seed lxor (nc * 0x9E3779B1) lxor nodes.(0)) in
-      Rca_rng.Prng.shuffle rng order;
-      let comp_arcs = ref 0 in
-      Array.iter
-        (fun u ->
-          for i = row.(u) to row.(u + 1) - 1 do
-            if Bytes.unsafe_get alive i <> '\000' then incr comp_arcs
-          done)
-        nodes;
-      let m_pairs = max 1 (!comp_arcs / 2) in
-      let log_term = log (2.0 *. float_of_int m_pairs /. a.ad_delta) in
-      let fnc = float_of_int nc in
-      let max_bc = fnc *. float_of_int (nc - 1) in
-      let rec grow k =
-        let k' = min nc (if k = 0 then a.ad_min_samples else 2 * k) in
-        for i = k to k' - 1 do
-          Betweenness.csr_accumulate_from csr ~alive scratch ~node_bc:scratch_node_bc
-            ~edge_bc order.(i)
-        done;
-        Rca_obs.Obs.incr ~by:(k' - k) "gn.sources_rescored";
-        if k' = nc then begin
-          (* sampled every source: discard and redo in ascending order so
-             the scores (and argmax tie resolution) are bitwise exact *)
-          zero_component nodes;
-          Rca_obs.Obs.incr "gn.adaptive_exact_fallback";
-          exact ()
-        end
-        else begin
-          let scale = fnc /. float_of_int k' in
-          let err = max_bc *. sqrt (log_term /. (2.0 *. float_of_int k')) in
-          (* top-two undirected-pair estimates inside the component *)
-          let top1 = ref neg_infinity and top2 = ref neg_infinity in
-          Array.iter
-            (fun u ->
-              for i = row.(u) to row.(u + 1) - 1 do
-                if Bytes.unsafe_get alive i <> '\000' then begin
-                  let v = col.(i) in
-                  if u <= v then begin
-                    let e = scale *. (edge_bc.(i) +. edge_bc.(csr.Csr.rev.(i))) in
-                    if e > !top1 then begin
-                      top2 := !top1;
-                      top1 := e
-                    end
-                    else if e > !top2 then top2 := e
-                  end
-                end
-              done)
-            nodes;
-          if !top1 -. !top2 >= 2.0 *. err || err <= a.ad_epsilon *. max_bc then begin
-            Rca_obs.Obs.incr "gn.adaptive_bound_met";
-            Array.iter
-              (fun u ->
-                for i = row.(u) to row.(u + 1) - 1 do
-                  edge_bc.(i) <- edge_bc.(i) *. scale
-                done)
-              nodes
-          end
-          else grow k'
-        end
-      in
-      grow 0
-    end
+  (* Initial scores: one global computation over the fixed source set —
+     the exact computation (and, under a pool, the exact chunk structure)
+     the reference performs before its first removal. *)
+  let initial =
+    Rca_obs.Obs.span "gn.initial_scores" (fun () ->
+        Betweenness.csr_compute_sources ?pool ~alive csr sources)
   in
-  (* Initial scores.  Exact mode: one global computation over the fixed
-     source set — the exact computation (and, under a pool, the exact
-     chunk structure) the reference performs before its first removal.
-     Adaptive mode: score each component adaptively from the start. *)
-  (match adaptive with
-  | Some a ->
-      Rca_obs.Obs.span "gn.initial_scores" (fun () ->
-          List.iter (fun nodes -> adaptive_recompute a nodes) initial_comps)
-  | None ->
-      let initial =
-        Rca_obs.Obs.span "gn.initial_scores" (fun () ->
-            Betweenness.csr_compute_sources ?pool ~alive csr sources)
-      in
-      Array.blit initial.Betweenness.csr_edge_bc 0 edge_bc 0 m);
+  Array.blit initial.Betweenness.csr_edge_bc 0 edge_bc 0 m;
   let component_sources nodes =
     Array.to_list nodes |> List.filter (fun v -> is_source.(v)) |> Array.of_list
   in
@@ -408,10 +284,7 @@ let incremental_driver ?approx ?adaptive ?pool g =
           nodes
     | _ -> accumulate_exact ~scratch ~node_bc:scratch_node_bc srcs
   in
-  let rescore =
-    match adaptive with Some a -> adaptive_recompute a | None -> recompute
-  in
-  (* After a split both sides need rescoring.  Exact mode under a pool
+  (* After a split both sides need rescoring.  Under a pool the engine
      parallelizes *across the two dirty components* (each side sequential
      with private scratch — their arc ranges are disjoint, and a
      per-component sequential accumulation is bitwise the sequential
@@ -419,8 +292,8 @@ let incremental_driver ?approx ?adaptive ?pool g =
      sides carry enough sources to amortize the batch barrier; otherwise
      the sides run back to back, each free to source-chunk on its own. *)
   let rescore_split side_a side_b =
-    match (adaptive, pool) with
-    | None, Some p
+    match pool with
+    | Some p
       when Pool.size p > 1
            && Array.length (component_sources side_a) > Betweenness.chunk_sources
            && Array.length (component_sources side_b) > Betweenness.chunk_sources ->
@@ -443,8 +316,8 @@ let incremental_driver ?approx ?adaptive ?pool g =
                Rca_obs.Obs.incr ~by:(Array.length srcs) "gn.sources_rescored";
                accumulate_exact ~scratch ~node_bc srcs))
     | _ ->
-        rescore side_a;
-        rescore side_b
+        recompute side_a;
+        recompute side_b
   in
   let best_edge () =
     Rca_obs.Obs.incr ~by:m "gn.argmax_arcs_scanned";
@@ -488,7 +361,7 @@ let incremental_driver ?approx ?adaptive ?pool g =
            every other component's cache is untouched.  A bare find here
            turned a bookkeeping bug into a process-killing Not_found;
            fail with the invariant spelled out instead. *)
-        rescore
+        recompute
           (match Hashtbl.find_opt members c with
           | Some ms -> ms
           | None ->
@@ -550,18 +423,13 @@ let gn_span name engine f =
       ])
     f
 
-let incremental_engine_name = function
-  | Some _ -> "incremental-adaptive"
-  | None -> "incremental"
+let girvan_newman_step ?approx ?pool ?max_removals g =
+  gn_span "gn.step" "incremental" (fun () ->
+      gn_step_with (incremental_driver ?approx ?pool g) ?max_removals ())
 
-let girvan_newman_step ?approx ?adaptive ?pool ?max_removals g =
-  gn_span "gn.step" (incremental_engine_name adaptive) (fun () ->
-      gn_step_with (incremental_driver ?approx ?adaptive ?pool g) ?max_removals ())
-
-let girvan_newman ?approx ?adaptive ?pool ?max_removals ~target g =
-  gn_span "gn.run" (incremental_engine_name adaptive) (fun () ->
-      gn_target_with (incremental_driver ?approx ?adaptive ?pool g) ?max_removals ~target
-        ())
+let girvan_newman ?approx ?pool ?max_removals ~target g =
+  gn_span "gn.run" "incremental" (fun () ->
+      gn_target_with (incremental_driver ?approx ?pool g) ?max_removals ~target ())
 
 let girvan_newman_step_reference ?approx ?pool ?max_removals g =
   gn_span "gn.step" "reference" (fun () ->
@@ -571,182 +439,12 @@ let girvan_newman_reference ?approx ?pool ?max_removals ~target g =
   gn_span "gn.run" "reference" (fun () ->
       gn_target_with (reference_driver ?approx ?pool g) ?max_removals ~target ())
 
-(* Asynchronous label propagation (Raghavan et al. 2007) on the symmetrized
-   view, deterministic given the seed.  Fast alternative partitioner. *)
-let label_propagation ?(seed = 7) ?(max_sweeps = 50) g =
-  let und = Digraph.to_undirected g in
-  let n = Digraph.n und in
-  let labels = Array.init n (fun i -> i) in
-  let rng = Rca_rng.Splitmix.create seed in
-  let order = Array.init n (fun i -> i) in
-  let changed = ref true in
-  let sweeps = ref 0 in
-  let counts = Hashtbl.create 16 in
-  while !changed && !sweeps < max_sweeps do
-    changed := false;
-    incr sweeps;
-    Rca_rng.Prng.shuffle rng order;
-    Array.iter
-      (fun v ->
-        let neighbors = Digraph.succ und v in
-        if neighbors <> [] then begin
-          Hashtbl.reset counts;
-          List.iter
-            (fun w ->
-              let c = labels.(w) in
-              Hashtbl.replace counts c (1 + Option.value ~default:0 (Hashtbl.find_opt counts c)))
-            neighbors;
-          let best_label, best_count =
-            Hashtbl.fold
-              (fun c k ((bc, bk) as acc) ->
-                if k > bk || (k = bk && c < bc) then (c, k) else acc)
-              counts (labels.(v), 0)
-          in
-          ignore best_count;
-          if best_label <> labels.(v) then begin
-            labels.(v) <- best_label;
-            changed := true
-          end
-        end)
-      order
-  done;
-  (* Compact label ids. *)
-  let remap = Hashtbl.create 16 in
-  Array.iteri
-    (fun v c ->
-      let c' =
-        match Hashtbl.find_opt remap c with
-        | Some c' -> c'
-        | None ->
-            let c' = Hashtbl.length remap in
-            Hashtbl.replace remap c c';
-            c'
-      in
-      labels.(v) <- c')
-    labels;
-  partition_of_labels labels (Hashtbl.length remap)
-
 (* Communities of at least [min_size] nodes — Algorithm 5.4 step 5 omits
    communities smaller than 3 nodes. *)
 let significant_communities ?(min_size = 3) p =
   List.filter (fun c -> List.length c >= min_size) p.communities
 
-(* --- Louvain ------------------------------------------------------------- *)
-
-(* Louvain modularity optimization (Blondel et al. 2008) on the
-   symmetrized view: greedy local moves, then contraction of communities
-   into weighted super-nodes, repeated until modularity stops improving.
-   A higher-quality (and usually faster) partitioner than Girvan–Newman;
-   offered as the alternative the paper's "numerous algorithms for graph
-   partitioning" remark invites. *)
-
-type wgraph = {
-  wn : int;
-  adj : (int * float) list array;  (* neighbor, weight; both directions *)
-  self : float array;  (* self-loop weight *)
-  total_w : float;  (* sum of all edge weights (undirected, self incl.) *)
-}
-
-let wgraph_of_digraph g =
-  let und = Digraph.to_undirected g in
-  let n = Digraph.n und in
-  let adj = Array.make n [] in
-  let self = Array.make n 0.0 in
-  let total = ref 0.0 in
-  Digraph.iter_edges
-    (fun u v ->
-      if u = v then begin
-        self.(u) <- self.(u) +. 1.0;
-        total := !total +. 1.0
-      end
-      else if u < v then begin
-        adj.(u) <- (v, 1.0) :: adj.(u);
-        adj.(v) <- (u, 1.0) :: adj.(v);
-        total := !total +. 1.0
-      end)
-    und;
-  { wn = n; adj; self; total_w = !total }
-
-(* One pass of greedy local moves; returns (labels, moved?). *)
-let louvain_local_pass wg =
-  let n = wg.wn in
-  let labels = Array.init n (fun i -> i) in
-  (* community degree totals *)
-  let deg =
-    Array.init n (fun v ->
-        (2.0 *. wg.self.(v)) +. List.fold_left (fun a (_, w) -> a +. w) 0.0 wg.adj.(v))
-  in
-  let comm_tot = Array.copy deg in
-  let m2 = 2.0 *. wg.total_w in
-  if m2 = 0.0 then (labels, false)
-  else begin
-    let moved = ref false in
-    let improved = ref true in
-    let neigh_w = Hashtbl.create 16 in
-    let sweeps = ref 0 in
-    while !improved && !sweeps < 20 do
-      improved := false;
-      incr sweeps;
-      for v = 0 to n - 1 do
-        let cv = labels.(v) in
-        Hashtbl.reset neigh_w;
-        List.iter
-          (fun (u, w) ->
-            let c = labels.(u) in
-            Hashtbl.replace neigh_w c
-              (w +. Option.value ~default:0.0 (Hashtbl.find_opt neigh_w c)))
-          wg.adj.(v);
-        (* remove v from its community *)
-        comm_tot.(cv) <- comm_tot.(cv) -. deg.(v);
-        let w_to_cv = Option.value ~default:0.0 (Hashtbl.find_opt neigh_w cv) in
-        let base_gain = w_to_cv -. (comm_tot.(cv) *. deg.(v) /. m2) in
-        let best_c = ref cv and best_gain = ref base_gain in
-        Hashtbl.iter
-          (fun c w_to_c ->
-            if c <> cv then begin
-              let gain = w_to_c -. (comm_tot.(c) *. deg.(v) /. m2) in
-              if gain > !best_gain +. 1e-12 then begin
-                best_gain := gain;
-                best_c := c
-              end
-            end)
-          neigh_w;
-        labels.(v) <- !best_c;
-        comm_tot.(!best_c) <- comm_tot.(!best_c) +. deg.(v);
-        if !best_c <> cv then begin
-          moved := true;
-          improved := true
-        end
-      done
-    done;
-    (labels, !moved)
-  end
-
-(* Contract communities into weighted super-nodes. *)
-let contract wg labels k =
-  let adj_tbl = Hashtbl.create (4 * k) in
-  let self = Array.make k 0.0 in
-  let add_pair a b w =
-    if a = b then self.(a) <- self.(a) +. w
-    else begin
-      let key = if a < b then (a, b) else (b, a) in
-      Hashtbl.replace adj_tbl key
-        (w +. Option.value ~default:0.0 (Hashtbl.find_opt adj_tbl key))
-    end
-  in
-  Array.iteri (fun v w -> if w > 0.0 then self.(labels.(v)) <- self.(labels.(v)) +. w) wg.self;
-  Array.iteri
-    (fun v nbrs ->
-      List.iter (fun (u, w) -> if v < u then add_pair labels.(v) labels.(u) w) nbrs)
-    wg.adj;
-  let adj = Array.make k [] in
-  Hashtbl.iter
-    (fun (a, b) w ->
-      adj.(a) <- (b, w) :: adj.(a);
-      adj.(b) <- (a, w) :: adj.(b))
-    adj_tbl;
-  { wn = k; adj; self; total_w = wg.total_w }
-
+(* Renumber labels densely in first-appearance order: (labels, count). *)
 let compact labels =
   let remap = Hashtbl.create 16 in
   Array.map
@@ -769,8 +467,7 @@ let compact labels =
    Leiden-flavoured local-move sweep back at level 0 lets individual
    nodes correct memberships the coarse levels locked in.
 
-   Where [louvain] above relies on [Hashtbl.iter] order to break gain
-   ties, this engine's tie-breaking is explicit: nodes are visited in
+   Tie-breaking is explicit: nodes are visited in
    ascending id order, a node's candidate communities are compared by
    gain with an epsilon guard, equal gains keep the smaller community
    id, and a move happens only when the best candidate strictly beats
@@ -1009,28 +706,3 @@ let modularity_greedy ?max_levels g =
   let labels = Array.make (Digraph.n g) 0 in
   List.iteri (fun c comm -> List.iter (fun v -> labels.(v) <- c) comm) comms;
   partition_of_labels labels (List.length comms)
-
-let louvain ?(max_levels = 10) g =
-  let n = Digraph.n g in
-  if n = 0 then partition_of_labels [||] 0
-  else begin
-    let node_label = Array.init n (fun i -> i) in
-    let wg = ref (wgraph_of_digraph g) in
-    let continue_ = ref true in
-    let levels = ref 0 in
-    while !continue_ && !levels < max_levels do
-      incr levels;
-      let labels, moved = louvain_local_pass !wg in
-      if not moved then continue_ := false
-      else begin
-        let labels, k = compact labels in
-        (* fold this level into the flat node labels *)
-        for v = 0 to n - 1 do
-          node_label.(v) <- labels.(node_label.(v))
-        done;
-        wg := contract !wg labels k
-      end
-    done;
-    let labels, k = compact node_label in
-    partition_of_labels labels k
-  end

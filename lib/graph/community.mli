@@ -36,24 +36,8 @@ type gn_step = {
   removed_edges : (int * int) list;
 }
 
-type adaptive = {
-  ad_epsilon : float;  (** stop when the bound reaches this relative error *)
-  ad_delta : float;  (** failure probability budget for the bound *)
-  ad_seed : int;  (** source-shuffle seed (mixed with component identity) *)
-  ad_min_samples : int;  (** first batch size; sample count doubles from here *)
-}
-(** Adaptive source-sampled Brandes: grow the sampled-source count until a
-    Hoeffding-style bound separates the argmax edge (or certifies every
-    edge within [ad_epsilon] of it), falling back to the exact engine when
-    sampling cannot beat just using every source.  See
-    {!girvan_newman_step}'s [?adaptive]. *)
-
-val default_adaptive : adaptive
-(** [epsilon = 0.1], [delta = 0.1], [seed = 0x5eed], [min_samples = 64]. *)
-
 val girvan_newman_step :
   ?approx:int ->
-  ?adaptive:adaptive ->
   ?pool:Pool.t ->
   ?max_removals:int ->
   Digraph.t ->
@@ -74,7 +58,6 @@ val girvan_newman_step :
 
 val girvan_newman :
   ?approx:int ->
-  ?adaptive:adaptive ->
   ?pool:Pool.t ->
   ?max_removals:int ->
   target:int ->
@@ -82,10 +65,7 @@ val girvan_newman :
   gn_step
 (** Iterate until at least [target] communities exist (or edges run
     out), on the same incremental engine; [removed_edges] lists the cut
-    sequence in order.  [adaptive] switches each component rescore to
-    sampled Brandes with the Hoeffding stop rule — removal sequences may
-    then differ from the exact engine (judge the result with
-    {!Quality}), but tiny components still compute exactly. *)
+    sequence in order. *)
 
 val girvan_newman_step_reference :
   ?approx:int -> ?pool:Pool.t -> ?max_removals:int -> Digraph.t -> gn_step
@@ -97,19 +77,10 @@ val girvan_newman_reference :
   ?approx:int -> ?pool:Pool.t -> ?max_removals:int -> target:int -> Digraph.t -> gn_step
 (** {!girvan_newman} on the reference engine. *)
 
-val label_propagation : ?seed:int -> ?max_sweeps:int -> Digraph.t -> partition
-(** Asynchronous label propagation (Raghavan et al. 2007): a fast
-    alternative partitioner, deterministic given [seed]. *)
-
-val louvain : ?max_levels:int -> Digraph.t -> partition
-(** Louvain modularity optimization (Blondel et al. 2008) on the
-    symmetrized view: greedy local moves plus community contraction,
-    repeated until modularity stops improving.  Deterministic. *)
-
 val modularity_greedy : ?max_levels:int -> Digraph.t -> partition
 (** Deterministic modularity-greedy agglomeration (Louvain-style local
     moves + contraction, plus a final Leiden-flavoured level-0 refinement
-    sweep).  Unlike {!louvain} its tie-breaking is explicit — ascending
+    sweep).  Its tie-breaking is explicit — ascending
     node order, equal gains keep the smaller community id — so the result
     is a pure function of the graph, independent of hashing or pool size.
     Modularity is monotone from the all-singleton start, so the returned

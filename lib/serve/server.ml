@@ -169,7 +169,11 @@ let decode_query st v =
   let detector =
     match Core.Refine.partitioner_of_string detector_name with
     | Some p -> p
-    | None -> raise (Bad_request (Printf.sprintf "unknown detector %S" detector_name))
+    | None ->
+        raise
+          (Bad_request
+             (Printf.sprintf "unknown detector %S (%s)" detector_name
+                Core.Refine.partitioner_names))
   in
   let engine =
     match field_string "engine" "masked" v with

@@ -290,19 +290,6 @@ let modularity_trivial_partition_zero () =
   (* single community: Q = 1 - 1 = 0 *)
   Alcotest.(check (float 1e-9)) "q" 0.0 (Community.modularity g p)
 
-let label_propagation_two_clusters () =
-  let g = Gen.two_clusters ~seed:19 ~size:12 ~p_intra:0.7 ~bridges:1 in
-  let p = Community.label_propagation ~seed:4 g in
-  (* label propagation should keep each dense cluster together *)
-  let l = p.Community.labels in
-  let same_a = ref true and same_b = ref true in
-  for v = 1 to 11 do
-    if l.(v) <> l.(0) then same_a := false;
-    if l.(12 + v) <> l.(12) then same_b := false
-  done;
-  check_bool "cluster A coherent" true !same_a;
-  check_bool "cluster B coherent" true !same_b
-
 let significant_communities_filter () =
   let p =
     Community.
@@ -643,7 +630,6 @@ let () =
           Alcotest.test_case "disconnected" `Quick gn_on_disconnected_graph;
           Alcotest.test_case "modularity split" `Quick modularity_of_perfect_split;
           Alcotest.test_case "modularity trivial" `Quick modularity_trivial_partition_zero;
-          Alcotest.test_case "label propagation" `Quick label_propagation_two_clusters;
           Alcotest.test_case "significant filter" `Quick significant_communities_filter;
           Alcotest.test_case "sorted by size" `Quick partition_sorted_by_size;
         ] );

@@ -239,12 +239,6 @@ let katz_directions_differ () =
   check_bool "in: hub highest" true (kin.(0) > kin.(1));
   check_bool "out: hub lowest" true (kout.(0) < kout.(1))
 
-let label_propagation_deterministic () =
-  let g = G.Gen.two_clusters ~seed:5 ~size:10 ~p_intra:0.6 ~bridges:1 in
-  let p1 = G.Community.label_propagation ~seed:9 g in
-  let p2 = G.Community.label_propagation ~seed:9 g in
-  check_bool "same labels" true (p1.G.Community.labels = p2.G.Community.labels)
-
 let shortest_path_dag_multi_target () =
   (* 0->1->2 and 0->3: targets {2,3}.  Each target keeps its own shortest
      paths: 0->3 (distance 1) and 0->1->2 (distance 2) — the farther
@@ -260,28 +254,6 @@ let girvan_newman_max_removals_budget () =
   check_int "still one community" 1
     (G.Community.community_count step.G.Community.partition)
 
-let louvain_splits_two_clusters () =
-  let g = G.Gen.two_clusters ~seed:21 ~size:12 ~p_intra:0.6 ~bridges:2 in
-  let p = G.Community.louvain g in
-  let l = p.G.Community.labels in
-  let coherent off = Array.for_all (fun v -> v = l.(off)) (Array.init 12 (fun i -> l.(off + i))) in
-  check_bool "cluster A coherent" true (coherent 0);
-  check_bool "cluster B coherent" true (coherent 12);
-  check_bool "clusters separated" true (l.(0) <> l.(12))
-
-let louvain_modularity_beats_trivial () =
-  let g = G.Gen.two_clusters ~seed:33 ~size:10 ~p_intra:0.5 ~bridges:1 in
-  let und = G.Digraph.to_undirected g in
-  let p = G.Community.louvain g in
-  let trivial = G.Community.of_components und in
-  check_bool "higher modularity than one blob" true
-    (G.Community.modularity und p > G.Community.modularity und trivial)
-
-let louvain_deterministic () =
-  let g = G.Gen.gnm ~seed:77 ~n:60 ~m:150 in
-  let a = G.Community.louvain g and b = G.Community.louvain g in
-  check_bool "same labels" true (a.G.Community.labels = b.G.Community.labels)
-
 let refine_with_alternative_partitioners () =
   let mg =
     MG.build
@@ -296,8 +268,21 @@ let refine_with_alternative_partitioners () =
           ~max_iterations:3 ~partitioner ~min_community:2
       in
       check_bool "terminates" true
-        (List.length r.Rca_core.Refine.final_nodes <= List.length initial))
-    [ Rca_core.Refine.Girvan_newman; Rca_core.Refine.Louvain; Rca_core.Refine.Label_propagation ]
+        (List.length r.Rca_core.Refine.final_nodes <= List.length initial);
+      check_bool "name round-trips" true
+        (Rca_core.Refine.(partitioner_of_string (partitioner_string partitioner))
+        = Some partitioner))
+    Rca_core.Refine.partitioners;
+  check_bool "exactly gn and greedy" true
+    (Rca_core.Refine.(partitioners = [ Girvan_newman; Modularity_greedy ]));
+  (* retired detectors and every old alias are unknown names now *)
+  List.iter
+    (fun name ->
+      check_bool (name ^ " rejected") true (Rca_core.Refine.partitioner_of_string name = None))
+    [
+      "gn-adaptive"; "adaptive"; "sampled"; "louvain"; "lp"; "label-propagation";
+      "girvan-newman"; "exact"; "modularity-greedy"; "leiden";
+    ]
 
 (* --- stats corners ----------------------------------------------------------------- *)
 
@@ -503,7 +488,6 @@ let () =
       ( "graph",
         [
           Alcotest.test_case "katz directions" `Quick katz_directions_differ;
-          Alcotest.test_case "label prop deterministic" `Quick label_propagation_deterministic;
           Alcotest.test_case "dag multi target" `Quick shortest_path_dag_multi_target;
           Alcotest.test_case "gn budget" `Quick girvan_newman_max_removals_budget;
         ] );
@@ -514,11 +498,8 @@ let () =
           Alcotest.test_case "variable scores" `Quick ect_variable_scores_rank_shifted;
           Alcotest.test_case "proba bounds" `Quick logistic_proba_bounds;
         ] );
-      ( "louvain",
+      ( "detectors",
         [
-          Alcotest.test_case "splits clusters" `Quick louvain_splits_two_clusters;
-          Alcotest.test_case "beats trivial modularity" `Quick louvain_modularity_beats_trivial;
-          Alcotest.test_case "deterministic" `Quick louvain_deterministic;
           Alcotest.test_case "refine partitioners" `Quick refine_with_alternative_partitioners;
         ] );
       ( "adverse",

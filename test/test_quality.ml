@@ -1,10 +1,8 @@
-(* Tests for the approximate community detectors and their quality
-   harness: modularity-greedy validity/determinism/modularity floor, the
-   masked CSR entry point against the digraph entry point, the adaptive
-   sampled Girvan-Newman engine at tight tolerances (where the Hoeffding
-   stop rule must fall back to the exact engine, bitwise), the Quality
-   report on hand-checked graphs, and a located-bugs regression across
-   all three detectors on the tiny fault campaign. *)
+(* Tests for the modularity-greedy detector and the quality harness:
+   greedy validity/determinism/modularity floor, the masked CSR entry
+   point against the digraph entry point, the Quality report on
+   hand-checked graphs, and a located-bugs regression across both
+   detectors on the tiny fault campaign. *)
 
 open Rca_graph
 
@@ -176,69 +174,6 @@ let prop_greedy_masked_equals_induced =
       && normalize (Community.modularity_greedy_masked csr rev ~alive:(Csr.full_mask csr))
          = normalize (Community.modularity_greedy g).Community.communities)
 
-(* --- adaptive sampled G-N: tight tolerances force the exact path ----------------- *)
-
-(* With delta this small the Hoeffding error bound cannot certify an
-   argmax before the sample count doubles up to the full source set, at
-   which point the engine discards the samples and recomputes exactly —
-   so every removal decision must be bitwise identical to the exact
-   engine's. *)
-let tight =
-  {
-    Community.ad_epsilon = 1e-6;
-    ad_delta = 1e-9;
-    ad_seed = 7;
-    ad_min_samples = 4;
-  }
-
-let same_step (a : Community.gn_step) (b : Community.gn_step) =
-  a.Community.removed_edges = b.Community.removed_edges
-  && a.Community.partition.Community.labels = b.Community.partition.Community.labels
-  && a.Community.partition.Community.communities
-     = b.Community.partition.Community.communities
-
-let prop_adaptive_tight_equals_exact_step =
-  QCheck2.Test.make ~name:"adaptive G-N step @ tight epsilon = exact (bitwise)" ~count:35
-    graph_gen (fun g ->
-      same_step (Community.girvan_newman_step ~adaptive:tight g)
-        (Community.girvan_newman_step g))
-
-let prop_adaptive_tight_equals_exact_target =
-  QCheck2.Test.make ~name:"adaptive G-N target:3 @ tight epsilon = exact (bitwise)"
-    ~count:25 graph_gen (fun g ->
-      same_step
-        (Community.girvan_newman ~adaptive:tight ~target:3 g)
-        (Community.girvan_newman ~target:3 g))
-
-let adaptive_default_edge_cases () =
-  let check g =
-    (* default tolerances on tiny graphs: components are below the
-       min-sample floor, so the sampled path is never even entered *)
-    check_bool "matches exact" true
-      (same_step
-         (Community.girvan_newman_step ~adaptive:Community.default_adaptive g)
-         (Community.girvan_newman_step g))
-  in
-  check (Digraph.create ());
-  check (Digraph.of_edges ~n:5 []);
-  check (Digraph.of_edges ~n:3 [ (0, 0); (2, 2) ]);
-  check (Digraph.of_edges ~n:2 [ (0, 1) ])
-
-(* --- adaptive quality on a planted partition ------------------------------------- *)
-
-let adaptive_default_quality_on_clusters () =
-  (* big enough that the sampled path genuinely engages; the result need
-     not match the exact engine bitwise, but it must find a split of
-     comparable quality *)
-  let g = Gen.two_clusters ~seed:5 ~size:40 ~p_intra:0.3 ~bridges:2 in
-  let exact = Community.girvan_newman_step g in
-  let sampled = Community.girvan_newman_step ~adaptive:Community.default_adaptive g in
-  let q p = (Quality.of_partition g p).Quality.q_modularity in
-  check_bool "split happened" true
-    (Community.community_count sampled.Community.partition >= 2);
-  check_bool "within 0.1 modularity of exact" true
-    (q sampled.Community.partition >= q exact.Community.partition -. 0.1)
-
 (* --- pool sizing ------------------------------------------------------------------ *)
 
 let recommended_size_clamps () =
@@ -279,14 +214,9 @@ let campaign_located_bugs_detector_invariant () =
   check_bool "non-empty corpus" true (exact.Rca_faults.Campaign.results <> []);
   check_int "no crashes" 0 exact.Rca_faults.Campaign.overall.Rca_faults.Campaign.fs_crashed;
   let reference = located_list exact in
-  List.iter
-    (fun (name, partitioner) ->
-      let t = Rca_faults.Campaign.run (mini_params partitioner) in
-      check_int (name ^ ": no crashes") 0
-        t.Rca_faults.Campaign.overall.Rca_faults.Campaign.fs_crashed;
-      check_bool (name ^ ": located_bugs identical to exact G-N") true
-        (located_list t = reference))
-    [ ("gn-adaptive", Gn_adaptive); ("greedy", Modularity_greedy) ]
+  let t = Rca_faults.Campaign.run (mini_params Modularity_greedy) in
+  check_int "greedy: no crashes" 0 t.Rca_faults.Campaign.overall.Rca_faults.Campaign.fs_crashed;
+  check_bool "greedy: located_bugs identical to exact G-N" true (located_list t = reference)
 
 let campaign_quality_reports_present () =
   let t = Rca_faults.Campaign.run (mini_params Rca_core.Refine.Modularity_greedy) in
@@ -315,8 +245,6 @@ let qcheck_cases =
       prop_greedy_deterministic;
       prop_greedy_modularity_floor;
       prop_greedy_masked_equals_induced;
-      prop_adaptive_tight_equals_exact_step;
-      prop_adaptive_tight_equals_exact_target;
     ]
 
 let () =
@@ -333,11 +261,6 @@ let () =
         [
           Alcotest.test_case "splits two triangles" `Quick greedy_splits_two_triangles;
           Alcotest.test_case "planted clusters" `Quick greedy_two_clusters_beats_trivial;
-        ] );
-      ( "adaptive",
-        [
-          Alcotest.test_case "edge cases = exact" `Quick adaptive_default_edge_cases;
-          Alcotest.test_case "planted-cluster quality" `Quick adaptive_default_quality_on_clusters;
         ] );
       ("pool", [ Alcotest.test_case "recommended_size clamps" `Quick recommended_size_clamps ]);
       ( "campaign",

@@ -498,6 +498,8 @@ let daemon_survives_garbage () =
       let bad_cases =
         [
           [ ("op", J.Str "query"); ("detector", J.Str "bogus") ];
+          [ ("op", J.Str "query"); ("detector", J.Str "gn-adaptive") ];
+          [ ("op", J.Str "query"); ("detector", J.Str "louvain") ];
           [ ("op", J.Str "query"); ("engine", J.Str "bogus") ];
           [ ("op", J.Str "query"); ("targets", J.Arr [ J.Str "NO_SUCH_OUTPUT" ]) ];
           [ ("op", J.Str "query"); ("targets", J.Str "not-an-array") ];
@@ -509,6 +511,11 @@ let daemon_survives_garbage () =
           let r = reply conn fields in
           check_bool "bad request -> error reply" true (status r = Some "error"))
         bad_cases;
+      (* an unknown detector's reply lists the detectors the daemon knows *)
+      let r = reply conn [ ("op", J.Str "query"); ("detector", J.Str "lp") ] in
+      Alcotest.(check (option string))
+        "unknown detector reply names gn|greedy" (Some {|unknown detector "lp" (gn|greedy)|})
+        (Option.bind (J.member "error" r) J.string_opt);
       (* the daemon is still alive and still answers good requests *)
       let ping = reply conn [ ("op", J.Str "ping"); ("id", J.num 9) ] in
       check_bool "ping after garbage" true (status ping = Some "ok");
@@ -516,7 +523,7 @@ let daemon_survives_garbage () =
       let stats = reply conn [ ("op", J.Str "stats") ] in
       check_bool "errors counted" true
         (match Option.bind (J.member "errors" stats) J.int_opt with
-        | Some e -> e = 6
+        | Some e -> e = 9
         | None -> false))
 
 let strip_reply r =
