@@ -23,21 +23,15 @@ exception Captured
 
 (* Deep-copy the machine's module-level state (own variables only —
    imported cells are aliases of some module's own cell). *)
+let own_values machine module_ =
+  Option.map
+    (List.map (fun (name, cell) -> (name, Machine.copy_value !cell)))
+    (Machine.own_module_vars machine ~module_)
+
 let snapshot_globals (machine : Machine.t) program =
   List.filter_map
     (fun (mu : Ast.module_unit) ->
-      match Hashtbl.find_opt machine.modules mu.Ast.m_name with
-      | None -> None
-      | Some mrt ->
-          let vars =
-            Hashtbl.fold
-              (fun name () acc ->
-                match Hashtbl.find_opt mrt.Machine.vars name with
-                | Some cell -> (name, Machine.copy_value !cell) :: acc
-                | None -> acc)
-              mrt.Machine.own_vars []
-          in
-          Some (mu.Ast.m_name, List.sort compare vars))
+      Option.map (fun vars -> (mu.Ast.m_name, vars)) (own_values machine mu.Ast.m_name))
     program
 
 (* Run [drive machine] until the [nth] (1-based) call of [module_.sub],
@@ -131,17 +125,7 @@ let replay ~program ~configure (c : capture) : (string * Machine.value) list =
   (* KGen compares the kernel's whole working set: the subprogram's locals
      plus the kernel module's own variables (the MG tendencies live at
      module scope). *)
-  let module_vars =
-    match Hashtbl.find_opt machine.Machine.modules c.k_module with
-    | None -> []
-    | Some mrt ->
-        Hashtbl.fold
-          (fun name () acc ->
-            match Hashtbl.find_opt mrt.Machine.vars name with
-            | Some cell -> (name, Machine.copy_value !cell) :: acc
-            | None -> acc)
-          mrt.Machine.own_vars []
-  in
+  let module_vars = Option.value ~default:[] (own_values machine c.k_module) in
   List.sort compare (!exit_locals @ module_vars)
 
 (* Normalized RMS difference between two values of the same variable:

@@ -1,5 +1,7 @@
-(** AST interpreter for the Fortran subset — the stand-in for "running
-    CESM on the supercomputer".
+(** Interpreter for the Fortran subset — the stand-in for "running CESM
+    on the supercomputer".  A machine compiles its program into OCaml
+    closures over slot-indexed frames: names are resolved once, at
+    creation, and each subprogram body is compiled on its first call.
 
     Machine-level switches reproduce the paper's experimental axes:
     [prng] (the generator behind [random_number]; swapping KISS for
@@ -35,14 +37,6 @@ val arr_norm : arr -> float
 
 type callable = { c_module : string; c_sub : Rca_fortran.Ast.subprogram }
 
-type module_rt = {
-  unit_ : Rca_fortran.Ast.module_unit;
-  vars : (string, value ref) Hashtbl.t;  (** visible cells: own + imported *)
-  own_vars : (string, unit) Hashtbl.t;  (** names declared in this module *)
-  visible_subs : (string, callable list) Hashtbl.t;
-  visible_types : (string, Rca_fortran.Ast.derived_type_def) Hashtbl.t;
-}
-
 type hooks = {
   mutable on_stmt : (string -> string -> int -> unit) option;
       (** fired before each statement with (module, subprogram, line) *)
@@ -60,9 +54,14 @@ type hooks = {
   mutable on_outfld : (string -> float -> unit) option;
 }
 
+type code
+(** A compiled program: elaborated module scopes, module-variable
+    initializers and a closure tree per subprogram called so far. *)
+
 type t = {
   program : Rca_fortran.Ast.program;
-  modules : (string, module_rt) Hashtbl.t;
+  code : code;
+  cells : value ref array;  (** module variables, by cell slot *)
   mutable prng : Rca_rng.Prng.t;
   mutable fma_for : string -> bool;
   hooks : hooks;
@@ -70,14 +69,19 @@ type t = {
   print_log : Buffer.t;
   mutable steps : int;
   mutable max_steps : int;
+  mutable depth : int;  (** subprogram calls in progress *)
 }
+
+val max_call_depth : int
+(** Calls nested deeper than this raise {!Runtime_error}. *)
 
 val module_order : Rca_fortran.Ast.program -> Rca_fortran.Ast.module_unit list
 (** Topological order of modules by use-dependency. *)
 
 val create : ?prng:Rca_rng.Prng.t -> ?max_steps:int -> Rca_fortran.Ast.program -> t
-(** Elaborate the program: resolve imports, build interface tables,
-    initialize module variables (parameters evaluated, arrays zeroed,
+(** A machine for the program: elaborate it (resolve imports, build
+    interface tables, compile the module initializers), then allocate and
+    initialize the module variables (parameters evaluated, arrays zeroed,
     derived types instantiated). *)
 
 val find_callable : t -> module_:string -> sub:string -> callable
@@ -89,6 +93,10 @@ val invoke : t -> module_:string -> sub:string -> args:value list -> value
 
 val get_module_var : t -> module_:string -> name:string -> value
 val set_module_var : t -> module_:string -> name:string -> value -> unit
+
+val own_module_vars : t -> module_:string -> (string * value ref) list option
+(** The cells of the variables [module_] declares itself (imports
+    excluded), sorted by name; [None] for a module the program lacks. *)
 
 val history : t -> (string * float) list
 val history_value : t -> string -> float option

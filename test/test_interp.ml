@@ -421,6 +421,64 @@ let stop_is_error () =
   | exception Machine.Runtime_error _ -> ()
   | _ -> Alcotest.fail "expected stop error"
 
+(* --- bounded work per statement ------------------------------------------------------------ *)
+
+(* Wrap-around integer power by repeated multiplication, the reference. *)
+let naive_ipow x y =
+  let acc = ref 1 in
+  for _ = 1 to y do
+    acc := !acc * x
+  done;
+  !acc
+
+let integer_power_by_squaring () =
+  let src =
+    "module p\n integer :: a, b, c, d\ncontains\n subroutine go()\n a = 3 ** 1000000000\n b = 3 ** 40\n c = (-7) ** 5\n d = 2 ** 9999999999999\n end subroutine\nend module p"
+  in
+  let m = machine_of src in
+  ignore (Machine.invoke m ~module_:"p" ~sub:"go" ~args:[]);
+  let geti name =
+    match Machine.get_module_var m ~module_:"p" ~name with
+    | Machine.Vint i -> i
+    | _ -> Alcotest.fail "expected integer"
+  in
+  (* 3**1e9 = (3**1e6)**1000 in wrap-around arithmetic *)
+  check_int "3**1e9 matches the wrapped product" (naive_ipow (naive_ipow 3 1_000_000) 1000) (geti "a");
+  check_int "wraps like repeated multiplication" (naive_ipow 3 40) (geti "b");
+  check_int "negative base" (-16807) (geti "c");
+  check_int "2**(>= 63) wraps to zero" 0 (geti "d");
+  check_int "four statements counted" 4 m.Machine.steps
+
+let array_extent_errors () =
+  let expect_runtime_error label src =
+    match Machine.create (parse src) with
+    | exception Machine.Runtime_error _ -> ()
+    | exception e -> Alcotest.failf "%s: untyped %s" label (Printexc.to_string e)
+    | _ -> Alcotest.failf "%s: expected a runtime error" label
+  in
+  expect_runtime_error "extent product wraps"
+    "module big\n real(r8) :: a(4294967296, 4294967296)\nend module big";
+  expect_runtime_error "over the element cap" "module big\n real(r8) :: a(10000, 10000)\nend module big";
+  expect_runtime_error "negative extent" "module big\n real(r8) :: a(-2, -3)\nend module big";
+  (* a zero extent is an empty array, not an error *)
+  match Machine.get_module_var (machine_of "module ok\n real(r8) :: a(0, 5)\nend module ok") ~module_:"ok" ~name:"a" with
+  | Machine.Varr arr -> check_int "empty array" 0 (Array.length arr.Machine.data)
+  | _ -> Alcotest.fail "expected an array"
+
+let recursion_hits_depth_limit () =
+  let expect_depth_error label src =
+    let m = machine_of src in
+    (match Machine.invoke m ~module_:"r" ~sub:"go" ~args:[] with
+    | exception Machine.Runtime_error msg -> check_bool (label ^ ": depth message") true (contains_sub ~sub:"depth" msg)
+    | _ -> Alcotest.failf "%s: expected a call-depth error" label);
+    check_int (label ^ ": depth unwound") 0 m.Machine.depth;
+    check_bool (label ^ ": stopped near the limit") true (m.Machine.steps <= 2 * Machine.max_call_depth + 2)
+  in
+  expect_depth_error "subroutine"
+    "module r\ncontains\n subroutine go()\n call go()\n end subroutine go\nend module r";
+  expect_depth_error "function result"
+    "module r\n real(r8) :: y\ncontains\n function f(x) result(z)\n real(r8), intent(in) :: x\n real(r8) :: z\n z = f(x) + 1.0_r8\n end function f\n subroutine go()\n y = f(1.0_r8)\n end subroutine go\nend module r"
+
 (* --- kernel capture / replay -------------------------------------------------------------- *)
 
 let kernel_src =
@@ -597,6 +655,9 @@ let () =
           Alcotest.test_case "out of bounds" `Quick out_of_bounds_error;
           Alcotest.test_case "runaway guard" `Quick runaway_loop_guard;
           Alcotest.test_case "stop" `Quick stop_is_error;
+          Alcotest.test_case "integer power by squaring" `Quick integer_power_by_squaring;
+          Alcotest.test_case "array extent errors" `Quick array_extent_errors;
+          Alcotest.test_case "recursion depth limit" `Quick recursion_hits_depth_limit;
         ] );
       ( "kernel",
         [
