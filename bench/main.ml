@@ -273,8 +273,9 @@ let run_micro_par () =
 (* --- Girvan-Newman engine benchmark (gn) ------------------------------------------------ *)
 
 (* Exact G-N to >= 8 communities on a clustered fixture: the reference
-   engine (full betweenness recomputation per removal) vs the
-   component-incremental CSR engine, sequentially and on a domain pool.
+   engine in test/oracle (full betweenness recomputation per removal) vs
+   the component-incremental CSR engine, sequentially and on a domain
+   pool.
    Every run is differentially checked against the reference (identical
    removal sequences and partitions) before any speedup is reported;
    with --json PATH the telemetry is also written as a JSON artifact. *)
@@ -328,7 +329,7 @@ let run_gn_bench ?(trace = None) ~json ~domains () =
            (r, Unix.gettimeofday () -. t0)
          in
          let reference, t_ref =
-           timeit (fun () -> G.Community.girvan_newman_reference ~target g)
+           timeit (fun () -> Rca_oracle.Gn_reference.girvan_newman ~target g)
          in
          let agrees (r : G.Community.gn_step) =
            r.G.Community.removed_edges = reference.G.Community.removed_edges
@@ -483,14 +484,15 @@ let run_pipeline_bench ~json ~trace ~domains ~partitioner () =
 (* --- masked refinement engine benchmark (refine) ---------------------------------------- *)
 
 (* The GOFFGRATCH slice-and-refine loop run on both node-set engines —
-   the list-based reference (induced-subgraph rebuild per ancestor
-   computation) and the masked-CSR engine (one frozen snapshot, removals
-   as bitmask flips) — sequentially and pooled.  Every pair of runs is
-   checked for full identity (slice nodes/targets, every iteration,
-   final nodes, outcome, located bugs) before any speedup is reported;
-   a traced run per engine extracts the per-iteration span timings the
-   masked engine is meant to shrink.  Exits non-zero on any difference,
-   so CI fails loudly if the engines ever diverge. *)
+   the list-based oracle in test/oracle (induced-subgraph rebuild per
+   ancestor computation) and the masked-CSR engine of lib/core (one
+   frozen snapshot, removals as bitmask flips) — sequentially and
+   pooled.  Every pair of runs is checked for full identity (slice
+   nodes/targets, every iteration, final nodes, outcome, located bugs)
+   before any speedup is reported; a traced run per engine extracts the
+   per-iteration span timings the masked engine is meant to shrink.
+   Exits non-zero on any difference, so CI fails loudly if the engines
+   ever diverge. *)
 let run_refine_bench ~json ~trace ~domains ~partitioner () =
   hr ();
   let ok =
@@ -502,11 +504,16 @@ let run_refine_bench ~json ~trace ~domains ~partitioner () =
         in
         let mg = fixture.Fixture.mg in
         let detect = Rca_core.Detector.reachability mg ~bug_nodes in
+        let keep_module = Rca_synth.Outputs.is_cam_module in
+        let outputs = [ "cloud"; "cldtot"; "aqsnow"; "freqs"; "ccn3" ] in
         let run ~engine ~domains () =
-          Rca_core.Pipeline.run ~keep_module:Rca_synth.Outputs.is_cam_module ~min_cluster:4
-            ~gn_approx:128 ~stop_size:30 ~partitioner ~domains ~engine mg
-            ~outputs:[ "cloud"; "cldtot"; "aqsnow"; "freqs"; "ccn3" ]
-            ~detect
+          match engine with
+          | `List ->
+              Rca_oracle.List_engine.pipeline_run ~keep_module ~min_cluster:4 ~gn_approx:128
+                ~stop_size:30 ~partitioner ~domains mg ~outputs ~detect
+          | `Masked ->
+              Rca_core.Pipeline.run ~keep_module ~min_cluster:4 ~gn_approx:128 ~stop_size:30
+                ~partitioner ~domains mg ~outputs ~detect
         in
         (* best-of-3 wall clock: the engines differ by bookkeeping that
            is small next to the shared G-N kernel, so single-shot
@@ -635,22 +642,18 @@ let run_refine_bench ~json ~trace ~domains ~partitioner () =
         in
         let anc_list =
           time_reps (fun () ->
-              Refine.ancestors_within mg slice.Slice.nodes slice.Slice.targets)
+              Rca_oracle.List_engine.ancestors_within mg slice.Slice.nodes slice.Slice.targets)
         in
         let anc_masked =
           time_reps (fun () -> Frozen.ancestors fz ~alive slice.Slice.targets)
         in
         let slice_list =
           time_reps (fun () ->
-              Slice.of_outputs ~keep_module:Rca_synth.Outputs.is_cam_module ~min_cluster:4
-                ~engine:`List mg
-                [ "cloud"; "cldtot"; "aqsnow"; "freqs"; "ccn3" ])
+              Rca_oracle.List_engine.slice_of_outputs ~keep_module ~min_cluster:4 mg outputs)
         in
         let slice_masked =
           time_reps (fun () ->
-              Slice.of_outputs ~keep_module:Rca_synth.Outputs.is_cam_module ~min_cluster:4
-                ~engine:`Masked ~frozen:fz mg
-                [ "cloud"; "cldtot"; "aqsnow"; "freqs"; "ccn3" ])
+              Slice.of_outputs ~keep_module ~min_cluster:4 ~frozen:fz mg outputs)
         in
         Printf.printf
           "  engine primitives (%d reps, ms/call):\n\

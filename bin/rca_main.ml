@@ -662,7 +662,7 @@ let serve_cmd =
       $ workers_arg $ queue_arg $ cache_path_arg $ cache_save_arg)
 
 let query_cmd =
-  let run socket port op targets detector engine gn_approx =
+  let run socket port op targets detector gn_approx =
     let addr = addr_of ~socket ~port in
     match Rca_serve.Client.connect addr with
     | exception Unix.Unix_error (e, _, _) ->
@@ -682,7 +682,6 @@ let query_cmd =
                         let s = String.trim s in
                         if s = "" then None else Some (J.Str s)))));
         Option.iter (fun d -> add "detector" (J.Str d)) detector;
-        Option.iter (fun e -> add "engine" (J.Str e)) engine;
         Option.iter (fun g -> add "gn_approx" (J.num g)) gn_approx;
         let outcome =
           match Rca_serve.Client.request conn (J.Obj !fields) with
@@ -717,12 +716,6 @@ let query_cmd =
       & info [ "detector" ] ~docv:"NAME"
           ~doc:(Printf.sprintf "Community detector (%s)." Rca_core.Refine.partitioner_names))
   in
-  let engine_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "engine" ] ~docv:"ENGINE" ~doc:"Node-set engine: masked or list.")
-  in
   let gn_approx_arg =
     Arg.(
       value
@@ -735,7 +728,7 @@ let query_cmd =
        ~doc:"Send one request to a running $(b,rca_main serve) daemon and print the reply.")
     Term.(
       const run $ socket_arg $ port_arg $ op_arg $ targets_arg $ detector_name_arg
-      $ engine_arg $ gn_approx_arg)
+      $ gn_approx_arg)
 
 (* --- table1 ------------------------------------------------------------------------ *)
 

@@ -11,9 +11,9 @@
    (ascending) order, and [induced_sub] replays Digraph.induced_subgraph's
    exact add_edge sequence (CSR row order = succ-list order), so the
    community/centrality kernels downstream accumulate floats in the same
-   order and produce bitwise-identical results.  The list-based path
-   stays in the tree as the differential reference (same pattern as the
-   CSR-vs-hashtable Brandes oracle). *)
+   order and produce bitwise-identical results.  The list-based path is
+   the differential oracle in test/oracle (beside the hashtable Brandes
+   oracle of the CSR betweenness kernel). *)
 
 module G = Rca_graph
 
@@ -37,7 +37,7 @@ let mask_of_list t nodes = G.Csr.mask_of_list t.csr nodes
 let full_mask t = G.Csr.full_mask t.csr
 
 (* Ancestors of [targets] within the alive nodes, ascending — the masked
-   counterpart of Refine.ancestors_within. *)
+   counterpart of the list engine's induced-subgraph closure. *)
 let ancestors t ~alive targets = G.Traverse.ancestors_csr ~rev:t.rev ~alive targets
 
 (* Distance-to-targets array over the alive nodes; callers that need the

@@ -46,16 +46,12 @@ val run :
     Only nodes with no outgoing edges that are not slicing targets are
     actually dropped, which makes the pruning observationally safe: the
     slice, refinement and located bugs are identical with and without
-    it.  [engine] (default [`Masked]) selects the node-set bookkeeping
-    for both slicing and refinement: the masked engine freezes the
-    metagraph into one {!Frozen.t} CSR here and expresses static
-    pruning, module restriction and every refinement removal as
-    node-alive mask flips; [`List] runs the materializing reference
-    path.  Both engines produce bit-identical results.  [frozen]
-    (masked engine only) supplies an existing snapshot of [mg]'s graph —
-    a query server loads one from disk once and shares it across every
-    request — instead of freezing here; the caller must guarantee it
-    matches [mg]. *)
+    it.  The metagraph is frozen into one {!Frozen.t} CSR here, and
+    static pruning, module restriction and every refinement removal are
+    node-alive mask flips on it.  [frozen] supplies an existing snapshot
+    of [mg]'s graph instead — a query server loads one from disk once
+    and shares it across every request; the caller must guarantee it
+    matches [mg].  [engine] selects nothing (see {!Slice.engine}). *)
 
 val name_of : MG.t -> int -> string
 val describe_nodes : MG.t -> int list -> string list

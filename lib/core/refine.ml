@@ -18,23 +18,21 @@
    simulated sampling (graph reachability from known bug locations) and
    genuine runtime sampling.
 
-   Two interchangeable engines drive the node-set bookkeeping.  The
-   list-based reference rebuilds Digraph.induced_subgraph for every
-   ancestor computation — at least three times per iteration — which is
-   exactly the per-iteration graph-materialization cost the paper calls
-   the bottleneck of iterative refinement.  The masked engine (default)
-   freezes the metagraph once into a Frozen.t CSR and expresses the 8a/8b
-   removals as node-alive bitmask flips plus masked reverse BFS; the
+   Node-set bookkeeping avoids the per-iteration graph materialization
+   the paper calls the bottleneck of iterative refinement: the metagraph
+   is frozen once into a Frozen.t CSR and the 8a/8b removals are
+   node-alive bitmask flips plus masked reverse BFS.  The
    community/centrality kernels receive their induced subgraphs
-   materialized from the frozen rows in the list path's exact adjacency
-   order, so iteration sequences, partitions and outcomes are bit
-   identical between the engines (locked by differential tests and the
-   `bench refine` oracle). *)
+   materialized from the frozen rows in Digraph.induced_subgraph's exact
+   adjacency order.  The list-based engine that rebuilds an induced
+   subgraph for every ancestor computation is the differential oracle in
+   test/oracle; iteration sequences, partitions and outcomes are bit
+   identical to it (locked by differential tests and `bench refine`). *)
 
 module MG = Rca_metagraph.Metagraph
 module G = Rca_graph
 
-type engine = [ `List | `Masked ]
+type engine = Slice.engine
 
 type iteration = {
   nodes : int list;  (* subgraph at the start of the iteration *)
@@ -57,16 +55,6 @@ type result = {
   final_nodes : int list;
   outcome : outcome;
 }
-
-(* Ancestors of [targets] inside the node set [nodes] (paths confined to
-   the current subgraph) — the list-based reference: one induced-subgraph
-   rebuild per call. *)
-let ancestors_within (mg : MG.t) nodes targets =
-  let sub = G.Digraph.induced_subgraph mg.MG.graph nodes in
-  let sub_targets = List.filter_map (G.Digraph.sub_of_parent sub) targets in
-  G.Traverse.ancestors sub.G.Digraph.graph sub_targets
-  |> List.map (G.Digraph.sub_to_parent sub)
-  |> List.sort compare
 
 (* Community method for step 5: the paper uses one Girvan-Newman
    iteration; deterministic modularity-greedy agglomeration is the fast
@@ -168,9 +156,7 @@ let smallest_ancestry ?frozen (mg : MG.t) nodes detected =
   match detected with
   | [] -> None
   | _ ->
-      (* one frozen CSR, one masked reverse BFS per candidate — the
-         previous implementation rebuilt the induced subgraph once per
-         candidate via [ancestors_within]. *)
+      (* one frozen CSR, one masked reverse BFS per candidate *)
       let fz = match frozen with Some f -> f | None -> Frozen.freeze mg.MG.graph in
       let alive = Frozen.mask_of_list fz (List.sort_uniq compare nodes) in
       let size v =
@@ -194,12 +180,9 @@ let outcome_string = function
   | Exhausted -> "exhausted"
   | Emptied -> "emptied"
 
-let engine_string = function `List -> "list" | `Masked -> "masked"
-
 let refine ?(m_sample = 10) ?(min_community = 3) ?(max_iterations = 10) ?(stop_size = 30)
     ?gn_approx ?partitioner ?measure ?choose_when_stuck ?(domains = 1) ?pool
-    ?(engine = (`Masked : engine)) ?frozen (mg : MG.t) ~initial ~(detect : Detector.t) :
-    result =
+    ?engine:(_ : engine option) ?frozen (mg : MG.t) ~initial ~(detect : Detector.t) : result =
   (* One pool for the whole refinement: spawned once, reused by every
      Girvan–Newman betweenness recomputation and centrality sweep — or
      shared across many refinements when the caller passes [?pool] (the
@@ -212,30 +195,18 @@ let refine ?(m_sample = 10) ?(min_community = 3) ?(max_iterations = 10) ?(stop_s
      caller's when given): every 8a/8b ancestor sweep is a masked reverse
      BFS on it, and the per-iteration induced subgraphs handed to the
      community/centrality kernels are materialized from its rows. *)
-  let fzo =
-    match engine with
-    | `List -> None
-    | `Masked ->
-        Some (match frozen with Some f -> f | None -> Frozen.freeze mg.MG.graph)
-  in
+  let fz = match frozen with Some f -> f | None -> Frozen.freeze mg.MG.graph in
   let iterations = ref [] in
   let finish outcome final_nodes =
     { iterations = List.rev !iterations; final_nodes; outcome }
   in
-  (* [alive] mirrors [nodes] as a bitmask whenever the masked engine is
-     active; it is rebuilt from the next node list at each transition. *)
+  (* [alive] mirrors [nodes] as a bitmask; it is rebuilt from the next
+     node list at each transition. *)
   let rec loop iter_no nodes alive budget =
     (* [nodes] is sorted-unique with every id valid, so the induced
-       subgraph's node count equals [List.length nodes].  The masked
-       engine never materializes the subgraph here: the node count is
-       the list length and the edge count a masked row scan. *)
-    let n_nodes, n_edges =
-      match fzo with
-      | Some fz -> (List.length nodes, Frozen.alive_arcs fz alive)
-      | None ->
-          let sub = G.Digraph.induced_subgraph mg.MG.graph nodes in
-          (G.Digraph.n sub.G.Digraph.graph, G.Digraph.m sub.G.Digraph.graph)
-    in
+       subgraph's node count is the list length and its edge count a
+       masked row scan — nothing is materialized here. *)
+    let n_nodes = List.length nodes and n_edges = Frozen.alive_arcs fz alive in
     if n_nodes <= stop_size then finish Converged nodes
     else if budget = 0 then finish Exhausted nodes
     else begin
@@ -247,7 +218,6 @@ let refine ?(m_sample = 10) ?(min_community = 3) ?(max_iterations = 10) ?(stop_s
                 ("iteration", Rca_obs.Obs.Int iter_no);
                 ("nodes", Rca_obs.Obs.Int n_nodes);
                 ("edges", Rca_obs.Obs.Int n_edges);
-                ("engine", Rca_obs.Obs.Str (engine_string engine));
               ]
             in
             match d with
@@ -263,8 +233,7 @@ let refine ?(m_sample = 10) ?(min_community = 3) ?(max_iterations = 10) ?(stop_s
                   ])
         @@ fun () ->
         let communities =
-          communities_of mg ?gn_approx ~min_community ?partitioner ?pool ?frozen:fzo
-            nodes
+          communities_of mg ?gn_approx ~min_community ?partitioner ?pool ~frozen:fz nodes
         in
         if communities = [] then
           (* increasingly disconnected graph: no communities left to split
@@ -272,69 +241,37 @@ let refine ?(m_sample = 10) ?(min_community = 3) ?(max_iterations = 10) ?(stop_s
           `Stop (nodes, Fixed_point)
         else begin
           let sampled_by_community =
-            List.map (central_nodes mg ~m_sample ?measure ?pool ?frozen:fzo) communities
+            List.map (central_nodes mg ~m_sample ?measure ?pool ~frozen:fz) communities
           in
           let sampled = List.sort_uniq compare (List.concat sampled_by_community) in
           let detected =
             Rca_obs.Obs.span "refine.detect" (fun () ->
                 List.sort_uniq compare (detect sampled))
           in
-          (* Ancestors of [targets] within the current node set: a masked
-             reverse BFS on the frozen CSR, or the induced-subgraph
-             reference.  Returns the surviving-node predicate as a
-             distance array in the masked case so 8a's complement and
-             8b's closure both come from one traversal. *)
-          let masked_keep targets =
-            match fzo with
-            | Some fz ->
-                let dist = Frozen.ancestor_dist fz ~alive targets in
-                Some (fun v -> dist.(v) <> G.Traverse.no_dist)
-            | None -> None
+          (* The nodes of the current set that keep ([keep] true) or lose
+             their place, with the survivor count: one masked reverse BFS
+             gives the ancestor closure of [targets], so 8a's complement
+             and 8b's closure both come from one traversal each. *)
+          let filter_closure targets ~keep =
+            let dist = Frozen.ancestor_dist fz ~alive targets in
+            let kept = ref 0 in
+            let next =
+              List.filter
+                (fun v ->
+                  let k = (dist.(v) <> G.Traverse.no_dist) = keep in
+                  if k then incr kept;
+                  k)
+                nodes
+            in
+            (next, !kept)
           in
-          (* Each branch also yields |next| so the refinement checks run
-             on counters instead of O(n) list walks per iteration. *)
           let next, n_next =
-            if detected = [] then begin
+            if detected = [] then
               (* 8a: discard everything that can influence the sampled nodes *)
-              let influenced =
-                match masked_keep sampled with
-                | Some in_closure -> in_closure
-                | None ->
-                    let infl = Hashtbl.create 256 in
-                    List.iter
-                      (fun v -> Hashtbl.replace infl v ())
-                      (ancestors_within mg nodes sampled);
-                    Hashtbl.mem infl
-              in
-              let kept = ref 0 in
-              let next =
-                List.filter
-                  (fun v ->
-                    let keep = not (influenced v) in
-                    if keep then incr kept;
-                    keep)
-                  nodes
-              in
-              (next, !kept)
-            end
-            else begin
+              filter_closure sampled ~keep:false
+            else
               (* 8b: keep exactly the detected nodes' ancestor closure *)
-              match masked_keep detected with
-              | Some in_closure ->
-                  let kept = ref 0 in
-                  let next =
-                    List.filter
-                      (fun v ->
-                        let keep = in_closure v in
-                        if keep then incr kept;
-                        keep)
-                      nodes
-                  in
-                  (next, !kept)
-              | None ->
-                  let anc = ancestors_within mg nodes detected in
-                  (anc, List.length anc)
-            end
+              filter_closure detected ~keep:true
           in
           iterations :=
             { nodes; n_nodes; n_edges; communities; sampled_by_community; sampled; detected }
@@ -342,29 +279,12 @@ let refine ?(m_sample = 10) ?(min_community = 3) ?(max_iterations = 10) ?(stop_s
           let next, n_next =
             (* non-refining 8b step: fall back to the single-node narrowing
                strategy when one is given *)
-            if detected <> [] && n_next = n_nodes then
-              match choose_when_stuck with
-              | Some choose -> (
-                  match choose nodes detected with
-                  | Some v -> (
-                      match masked_keep [ v ] with
-                      | Some in_closure ->
-                          let kept = ref 0 in
-                          let next =
-                            List.filter
-                              (fun w ->
-                                let keep = in_closure w in
-                                if keep then incr kept;
-                                keep)
-                              nodes
-                          in
-                          (next, !kept)
-                      | None ->
-                          let anc = ancestors_within mg nodes [ v ] in
-                          (anc, List.length anc))
-                  | None -> (next, n_next))
-              | None -> (next, n_next)
-            else (next, n_next)
+            match choose_when_stuck with
+            | Some choose when detected <> [] && n_next = n_nodes -> (
+                match choose nodes detected with
+                | Some v -> filter_closure [ v ] ~keep:true
+                | None -> (next, n_next))
+            | _ -> (next, n_next)
           in
           if n_next = 0 then `Stop ([], Emptied)
           else if n_next = n_nodes then
@@ -377,25 +297,16 @@ let refine ?(m_sample = 10) ?(min_community = 3) ?(max_iterations = 10) ?(stop_s
       match decision with
       | `Stop (final, outcome) -> finish outcome final
       | `Continue (next, _, _) ->
-          let alive =
-            match fzo with Some fz -> Frozen.mask_of_list fz next | None -> alive
-          in
-          loop (iter_no + 1) next alive (budget - 1)
+          loop (iter_no + 1) next (Frozen.mask_of_list fz next) (budget - 1)
     end
   in
   let initial = List.sort_uniq compare initial in
-  let alive0 =
-    match fzo with
-    | Some fz -> Frozen.mask_of_list fz initial
-    | None -> Bytes.empty
-  in
-  loop 1 initial alive0 max_iterations
+  loop 1 initial (Frozen.mask_of_list fz initial) max_iterations
   in
   Rca_obs.Obs.span' "refine.run"
     (fun r ->
       [
         ("domains", Rca_obs.Obs.Int domains);
-        ("engine", Rca_obs.Obs.Str (engine_string engine));
         ("iterations", Rca_obs.Obs.Int (List.length r.iterations));
         ("final_nodes", Rca_obs.Obs.Int (List.length r.final_nodes));
         ("outcome", Rca_obs.Obs.Str (outcome_string r.outcome));

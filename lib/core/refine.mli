@@ -2,18 +2,18 @@
     eigenvector in-centrality and (simulated or real) runtime sampling —
     a k-ary search over the slice.
 
-    Two interchangeable engines drive the node-set bookkeeping: the
-    list-based reference ([`List]) rebuilds
-    [Digraph.induced_subgraph] for every ancestor computation, while the
-    masked engine ([`Masked], the default) freezes the metagraph once
-    into a {!Frozen.t} CSR and expresses the 8a/8b removals as
-    node-alive bitmask flips plus masked reverse BFS.  Iteration
+    The node-set bookkeeping freezes the metagraph once into a
+    {!Frozen.t} CSR and expresses the 8a/8b removals as node-alive
+    bitmask flips plus masked reverse BFS.  Its differential oracle, the
+    list-based engine in test/oracle, rebuilds
+    [Digraph.induced_subgraph] for every ancestor computation; iteration
     sequences, partitions, final node sets and outcomes are bit
-    identical between the engines. *)
+    identical between the two. *)
 
 module MG := Rca_metagraph.Metagraph
 
-type engine = [ `List | `Masked ]
+type engine = Slice.engine
+(** See {!Slice.engine}: [?engine] on {!refine} selects nothing. *)
 
 type iteration = {
   nodes : int list;  (** subgraph at the start of the iteration *)
@@ -37,17 +37,12 @@ type result = {
   outcome : outcome;
 }
 
-val ancestors_within : MG.t -> int list -> int list -> int list
-(** Ancestors of the targets with paths confined to the given node set —
-    the list-based reference (one induced-subgraph rebuild per call);
-    the masked equivalent is {!Frozen.ancestors}. *)
-
 type partitioner =
   | Girvan_newman  (** exact incremental G-N — the paper's detector *)
   | Modularity_greedy
       (** deterministic modularity-greedy agglomeration
-          ({!Rca_graph.Community.modularity_greedy}); on the masked engine
-          it runs directly on the frozen CSR with no induced subgraph *)
+          ({!Rca_graph.Community.modularity_greedy}); given a frozen
+          snapshot it runs directly on the CSR with no induced subgraph *)
 
 val partitioners : partitioner list
 (** Every detector, in CLI order. *)
@@ -137,10 +132,8 @@ val refine :
     keeps the sequential code paths byte-for-byte and any value produces
     the same final node set.  [pool] supplies an existing pool instead
     (overrides [domains]; not shut down here) so many refinements can
-    share one set of worker domains.  [engine] (default [`Masked])
-    selects the node-set bookkeeping; [frozen] reuses the caller's
-    snapshot (one per {!Pipeline.run}) instead of freezing again.  Both
-    engines produce bit-identical results. *)
+    share one set of worker domains.  [frozen] reuses the caller's
+    snapshot of [mg]'s graph (one per {!Pipeline.run}) instead of
+    freezing again. *)
 
 val outcome_string : outcome -> string
-val engine_string : engine -> string

@@ -2,16 +2,18 @@
     of the variable digraph on the canonical names of the affected
     internal variables, computed over coverage-filtered source.
 
-    Two interchangeable engines compute the slice: [`List] (BFS over
-    [Digraph.pred] plus induced-subgraph components — the differential
-    reference) and [`Masked] (the default: one frozen {!Frozen.t}
-    snapshot; module restriction, exclusions and residual-cluster
-    dropping are node-alive mask flips).  Both produce identical
-    slices. *)
+    The slice is computed on one frozen {!Frozen.t} snapshot: module
+    restriction, exclusions and residual-cluster dropping are node-alive
+    mask flips.  The list-based engine (BFS over [Digraph.pred] plus
+    induced-subgraph components) is its differential oracle in
+    test/oracle. *)
 
 module MG := Rca_metagraph.Metagraph
 
-type engine = [ `List | `Masked ]
+type engine = [ `Masked ]
+(** The one node-set engine.  [?engine] below selects nothing; it stays
+    only because benchmark code passes [~engine:`Masked], and goes away
+    once that code stops passing it. *)
 
 type t = {
   mg : MG.t;  (** the graph the slice lives in *)
@@ -46,10 +48,9 @@ val of_internals :
     excluded modules (the CAM-only restriction); [min_cluster] drops
     weakly connected residual clusters below that size (the paper drops
     clusters of fewer than 4 nodes); [exclude] cuts individual nodes
-    (e.g. statically-dead ones) regardless of module.  [engine]
-    (default [`Masked]) selects the computation path; [frozen] reuses an
-    existing snapshot (one per {!Pipeline.run}) instead of freezing
-    again.  Both engines return identical slices. *)
+    (e.g. statically-dead ones) regardless of module.  [frozen] reuses
+    an existing snapshot of [mg]'s graph (one per {!Pipeline.run})
+    instead of freezing again. *)
 
 val of_outputs :
   ?keep_module:(string -> bool) ->

@@ -85,16 +85,27 @@ let refine_variant (v : variant) mg ~initial ~detect =
       Rca_core.Refine.refine ~m_sample:v.m_sample ~measure:v.measure ~partitioner
         ~gn_approx:128 mg ~initial ~detect
   | None ->
-      (* single-community refinement: sample the top-m of the whole slice *)
+      (* single-community refinement: sample the top-m of the whole
+         slice; as in [Refine.refine], one frozen snapshot serves every
+         iteration and each 8a/8b closure is one masked reverse BFS *)
+      let fz = Rca_core.Frozen.freeze mg.Rca_metagraph.Metagraph.graph in
       let rec loop nodes budget iterations =
-        let sampled = Rca_core.Refine.central_nodes mg ~m_sample:v.m_sample ~measure:v.measure nodes in
+        let sampled =
+          Rca_core.Refine.central_nodes mg ~m_sample:v.m_sample ~measure:v.measure ~frozen:fz
+            nodes
+        in
         let detected = detect sampled in
+        let alive = Rca_core.Frozen.mask_of_list fz nodes in
+        let in_closure targets =
+          let dist = Rca_core.Frozen.ancestor_dist fz ~alive targets in
+          fun n -> dist.(n) <> Rca_graph.Traverse.no_dist
+        in
         let next =
           if detected = [] then begin
-            let infl = Rca_core.Refine.ancestors_within mg nodes sampled in
-            List.filter (fun n -> not (List.mem n infl)) nodes
+            let infl = in_closure sampled in
+            List.filter (fun n -> not (infl n)) nodes
           end
-          else Rca_core.Refine.ancestors_within mg nodes detected
+          else List.filter (in_closure detected) nodes
         in
         let iterations = (sampled, detected) :: iterations in
         if budget = 0 || next = [] || List.length next = List.length nodes then

@@ -6,11 +6,12 @@
    split is "one G-N iteration" (paper Algorithm 5.4 step 5).  G-N operates
    on the undirected (symmetrized) view of the subgraph.
 
-   Exact G-N recomputes full edge betweenness after every removal, which is
-   O(n·m) per removal.  We keep that as the reference implementation and
-   additionally support source-sampled betweenness (`approx`) for the large
-   paper-scale subgraphs, plus a deterministic modularity-greedy
-   agglomeration as the fast alternative partitioner (an extension the
+   Exact G-N as the paper states it recomputes full edge betweenness after
+   every removal, which is O(n·m) per removal; that version lives in
+   test/oracle as the differential oracle for the component-incremental
+   engine here.  Source-sampled betweenness (`approx`) serves the large
+   paper-scale subgraphs, and a deterministic modularity-greedy
+   agglomeration is the fast alternative partitioner (an extension the
    paper's "numerous algorithms for graph partitioning" remark invites). *)
 
 type partition = {
@@ -76,77 +77,10 @@ let gn_sources ?approx n =
       Array.init k (fun i -> int_of_float (float_of_int i *. step))
   | _ -> Array.init n (fun i -> i)
 
-(* Edge betweenness with optional source sampling, on the hashtable
-   reference path.  [pool] fans the per-source accumulation out across
-   domains (see Betweenness). *)
-let edge_betweenness_sampled ?approx ?pool g =
-  (Betweenness.compute_sources ?pool g (gn_sources ?approx (Digraph.n g)))
-    .Betweenness.edge_bc
-
-let max_betweenness_edge ?approx ?pool g =
-  let tbl = edge_betweenness_sampled ?approx ?pool g in
-  (* On a symmetrized graph consider each undirected edge once (at its
-     first directed occurrence), summing the two arc scores. *)
-  Betweenness.argmax_edge (fun f ->
-      Digraph.iter_edges
-        (fun u v ->
-          if u <= v || not (Digraph.mem_edge g v u) then
-            f u v
-              (Option.value ~default:0.0 (Hashtbl.find_opt tbl (u, v))
-              +. Option.value ~default:0.0 (Hashtbl.find_opt tbl (v, u))))
-        g)
-
 type gn_step = {
   partition : partition;
   removed_edges : (int * int) list;  (* undirected pairs removed *)
 }
-
-(* --- the shared Girvan–Newman removal loop -------------------------------- *)
-
-(* Both G-N entry points (one-split step, run-to-target) and both engines
-   (component-incremental CSR, mutable-digraph reference) share this one
-   loop; the engines differ only in how they answer the four queries. *)
-type gn_driver = {
-  ncomponents : unit -> int;
-  alive_arcs : unit -> int;  (* directed arc count of the working graph *)
-  best_edge : unit -> (int * int * float) option;
-  remove : int -> int -> unit;  (* undirected removal of a [best_edge] result *)
-  current : unit -> partition;
-}
-
-let gn_run driver ~max_removals ~stop =
-  let removed = ref [] in
-  let rec loop budget =
-    if budget <= 0 then ()
-    else if stop ~ncomps:(driver.ncomponents ()) ~arcs:(driver.alive_arcs ()) then ()
-    else
-      match driver.best_edge () with
-      | None -> ()
-      | Some (u, v, _) ->
-          driver.remove u v;
-          removed := (u, v) :: !removed;
-          loop (budget - 1)
-  in
-  loop max_removals;
-  { partition = driver.current (); removed_edges = List.rev !removed }
-
-(* --- reference engine: mutable digraph + full recomputation ---------------- *)
-
-(* Exact G-N as the paper states it: recompute full edge betweenness
-   after every removal (O(n·m) each).  Kept as the differential-test
-   reference for the incremental engine. *)
-let reference_driver ?approx ?pool g =
-  let work = Digraph.to_undirected g in
-  {
-    ncomponents = (fun () -> Components.count_weakly_connected work);
-    alive_arcs = (fun () -> Digraph.m work);
-    best_edge = (fun () -> max_betweenness_edge ?approx ?pool work);
-    remove =
-      (fun u v ->
-        Digraph.remove_edge work u v;
-        Digraph.remove_edge work v u);
-    current = (fun () -> of_components work);
-  }
 
 (* --- component-incremental engine over a frozen CSR ------------------------ *)
 
@@ -160,11 +94,17 @@ let reference_driver ?approx ?pool g =
    G-N (many small components) drops from O(n·m) to O(n_c·m_c) per
    removal, plus an O(m) cached-score argmax scan.
 
+   The engine removes top-betweenness edges until [stop ~initial ~ncomps
+   ~arcs] holds ([initial] is the starting component count, [arcs] the
+   alive directed arc count), [max_removals] is spent, or no edge is
+   left.
+
    Determinism: per-component sequential recomputation adds exactly the
    same contributions in exactly the same order as a full sequential
    recomputation does for that component's arcs (sources ascend, CSR
    rows preserve adjacency order, other components contribute exactly
-   nothing), so cached scores are bitwise identical to the reference's.
+   nothing), so cached scores are bitwise identical to those of the
+   full-recompute reference (test/oracle).
    The argmax deliberately re-scans all alive arcs in global arc order
    (Betweenness.argmax_edge) instead of combining per-component cached
    maxima: near-ties are resolved by scan order, and combining
@@ -173,7 +113,7 @@ let reference_driver ?approx ?pool g =
    reference's global chunking, which perturbs sums by last-ulp noise —
    absorbed by the relative 1e-9 margin of [Betweenness.beats], exactly
    as for sequential-vs-parallel. *)
-let incremental_driver ?approx ?pool g =
+let gn_run ?approx ?pool ?(max_removals = 2000) ~stop g =
   let work = Digraph.to_undirected g in
   let csr = Csr.of_digraph work in
   let n = csr.Csr.n and m = csr.Csr.m in
@@ -388,56 +328,48 @@ let incremental_driver ?approx ?pool g =
     done;
     partition_of_labels labels (Hashtbl.length remap)
   in
-  {
-    ncomponents = (fun () -> !ncomps);
-    alive_arcs = (fun () -> !arcs_alive);
-    best_edge;
-    remove;
-    current;
-  }
+  let initial = !ncomps in
+  let removed = ref [] in
+  let rec loop budget =
+    if budget > 0 && not (stop ~initial ~ncomps:!ncomps ~arcs:!arcs_alive) then
+      match best_edge () with
+      | None -> ()
+      | Some (u, v, _) ->
+          remove u v;
+          removed := (u, v) :: !removed;
+          loop (budget - 1)
+  in
+  loop max_removals;
+  { partition = current (); removed_edges = List.rev !removed }
 
 (* --- entry points ----------------------------------------------------------- *)
 
-(* One Girvan–Newman iteration on (the symmetrized view of) [g]: remove
-   top-betweenness edges until the weak component count increases.
-   [max_removals] bounds the work; if reached, the current partition is
-   returned as-is. *)
-let gn_step_with driver ?(max_removals = 2000) () =
-  let initial = driver.ncomponents () in
-  gn_run driver ~max_removals ~stop:(fun ~ncomps ~arcs:_ -> ncomps > initial)
-
-(* Run G-N until at least [target] communities exist (or no edges
-   remain).  Returns the state at the first point the target is met. *)
-let gn_target_with driver ?(max_removals = 2000) ~target () =
-  gn_run driver ~max_removals ~stop:(fun ~ncomps ~arcs -> ncomps >= target || arcs = 0)
-
 (* Telemetry for one G-N entry: removals performed and resulting
-   community count, tagged with the engine that ran. *)
-let gn_span name engine f =
+   community count. *)
+let gn_span name f =
   Rca_obs.Obs.span' name
     (fun s ->
       [
-        ("engine", Rca_obs.Obs.Str engine);
         ("removals", Rca_obs.Obs.Int (List.length s.removed_edges));
         ("communities", Rca_obs.Obs.Int (community_count s.partition));
       ])
     f
 
+(* One Girvan–Newman iteration on (the symmetrized view of) [g]: remove
+   top-betweenness edges until the weak component count increases.
+   [max_removals] bounds the work; if reached, the current partition is
+   returned as-is. *)
 let girvan_newman_step ?approx ?pool ?max_removals g =
-  gn_span "gn.step" "incremental" (fun () ->
-      gn_step_with (incremental_driver ?approx ?pool g) ?max_removals ())
+  gn_span "gn.step" (fun () ->
+      gn_run ?approx ?pool ?max_removals g ~stop:(fun ~initial ~ncomps ~arcs:_ ->
+          ncomps > initial))
 
+(* Run G-N until at least [target] communities exist (or no edges
+   remain).  Returns the state at the first point the target is met. *)
 let girvan_newman ?approx ?pool ?max_removals ~target g =
-  gn_span "gn.run" "incremental" (fun () ->
-      gn_target_with (incremental_driver ?approx ?pool g) ?max_removals ~target ())
-
-let girvan_newman_step_reference ?approx ?pool ?max_removals g =
-  gn_span "gn.step" "reference" (fun () ->
-      gn_step_with (reference_driver ?approx ?pool g) ?max_removals ())
-
-let girvan_newman_reference ?approx ?pool ?max_removals ~target g =
-  gn_span "gn.run" "reference" (fun () ->
-      gn_target_with (reference_driver ?approx ?pool g) ?max_removals ~target ())
+  gn_span "gn.run" (fun () ->
+      gn_run ?approx ?pool ?max_removals g ~stop:(fun ~initial:_ ~ncomps ~arcs ->
+          ncomps >= target || arcs = 0))
 
 (* Communities of at least [min_size] nodes — Algorithm 5.4 step 5 omits
    communities smaller than 3 nodes. *)

@@ -19,18 +19,6 @@ val community_count : partition -> int
 val modularity : Digraph.t -> partition -> float
 (** Newman–Girvan modularity [Q] on a symmetrized digraph. *)
 
-val edge_betweenness_sampled :
-  ?approx:int -> ?pool:Pool.t -> Digraph.t -> (int * int, float) Hashtbl.t
-(** Edge betweenness, exact or estimated from [approx] evenly spaced BFS
-    sources (deterministic).  [pool] fans the per-source accumulation out
-    across domains. *)
-
-val max_betweenness_edge :
-  ?approx:int -> ?pool:Pool.t -> Digraph.t -> (int * int * float) option
-(** Highest-betweenness undirected edge of a symmetrized graph; near-ties
-    (relative 1e-9) broken by edge order so sequential and parallel runs
-    agree. *)
-
 type gn_step = {
   partition : partition;
   removed_edges : (int * int) list;
@@ -52,9 +40,11 @@ val girvan_newman_step :
     recomputed (from exactly the fixed BFS sources inside it); untouched
     components keep their cached scores, and removals flip an arc-alive
     bit instead of rebuilding adjacency lists.  Removal sequences and
-    partitions are identical to the reference engine — bitwise
-    sequentially, within the {!Betweenness.beats} tie margin under a
-    pool. *)
+    partitions are identical to full-recompute G-N (the differential
+    oracle in test/oracle) — bitwise sequentially, within the
+    {!Betweenness.beats} tie margin under a pool.  Betweenness is exact,
+    or estimated from [approx] evenly spaced BFS sources
+    (deterministic). *)
 
 val girvan_newman :
   ?approx:int ->
@@ -66,16 +56,6 @@ val girvan_newman :
 (** Iterate until at least [target] communities exist (or edges run
     out), on the same incremental engine; [removed_edges] lists the cut
     sequence in order. *)
-
-val girvan_newman_step_reference :
-  ?approx:int -> ?pool:Pool.t -> ?max_removals:int -> Digraph.t -> gn_step
-(** {!girvan_newman_step} on the reference engine (mutable digraph +
-    full betweenness recomputation per removal, O(n·m) each) — the
-    differential-test oracle for the incremental engine. *)
-
-val girvan_newman_reference :
-  ?approx:int -> ?pool:Pool.t -> ?max_removals:int -> target:int -> Digraph.t -> gn_step
-(** {!girvan_newman} on the reference engine. *)
 
 val modularity_greedy : ?max_levels:int -> Digraph.t -> partition
 (** Deterministic modularity-greedy agglomeration (Louvain-style local

@@ -11,7 +11,6 @@
 type answer = {
   a_targets : string list;  (** canonical form actually sliced on *)
   a_detector : string;
-  a_engine : string;
   a_slice_nodes : int;
   a_slice_targets : int;
   a_iterations : int;

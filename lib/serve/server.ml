@@ -5,7 +5,7 @@
    One request line -> one response line.  Ops:
 
      {"op":"query","id":7,"targets":["TREFHT"],"detector":"gn",
-      "engine":"masked","gn_approx":128}     -> full pipeline answer
+      "gn_approx":128}                       -> full pipeline answer
      {"op":"ping"}                           -> liveness + fingerprint
      {"op":"stats"}                          -> counters
      {"op":"shutdown"}                       -> ack, then the loop exits
@@ -25,8 +25,8 @@
    so clients can reuse experiment configs verbatim.
 
    Caching and coalescing: answers land in an LRU keyed by the
-   canonical request (sorted-deduped targets + detector + engine +
-   every result-affecting parameter).  A request whose key is already
+   canonical request (sorted-deduped targets + detector + every
+   result-affecting parameter).  A request whose key is already
    computing attaches to the in-flight job instead of recomputing —
    those replies are flagged ["coalesced"] so the traffic generator can
    observe stampede suppression directly.  With [~cache_path] the LRU
@@ -140,7 +140,6 @@ type query = {
   q_targets : string list;  (* canonical: sorted, deduped, defaulted *)
   q_detector : Core.Refine.partitioner;
   q_detector_name : string;
-  q_engine : Core.Refine.engine;
   q_m_sample : int;
   q_min_community : int;
   q_max_iterations : int;
@@ -175,17 +174,16 @@ let decode_query st v =
              (Printf.sprintf "unknown detector %S (%s)" detector_name
                 Core.Refine.partitioner_names))
   in
-  let engine =
-    match field_string "engine" "masked" v with
-    | "masked" -> `Masked
-    | "list" -> `List
-    | other -> raise (Bad_request (Printf.sprintf "unknown engine %S (masked|list)" other))
-  in
+  (* One node-set engine, echoed as "engine":"masked" in every reply;
+     a client asking for another gets a typed error, not a silent
+     substitute. *)
+  (match field_string "engine" "masked" v with
+  | "masked" -> ()
+  | other -> raise (Bad_request (Printf.sprintf "unknown engine %S (masked)" other)));
   {
     q_targets = targets;
     q_detector = detector;
     q_detector_name = Core.Refine.partitioner_string detector;
-    q_engine = engine;
     q_m_sample = field_int "m_sample" 10 v;
     q_min_community = field_int "min_community" 3 v;
     q_max_iterations = field_int "max_iterations" 10 v;
@@ -196,9 +194,8 @@ let decode_query st v =
 
 let cache_key q =
   String.concat "\x1f" q.q_targets
-  ^ Printf.sprintf "\x00%s\x00%s\x00m%d c%d i%d s%d g%s k%d" q.q_detector_name
-      (Core.Refine.engine_string q.q_engine)
-      q.q_m_sample q.q_min_community q.q_max_iterations q.q_stop_size
+  ^ Printf.sprintf "\x00%s\x00m%d c%d i%d s%d g%s k%d" q.q_detector_name q.q_m_sample
+      q.q_min_community q.q_max_iterations q.q_stop_size
       (match q.q_gn_approx with None -> "-" | Some g -> string_of_int g)
       q.q_min_cluster
 
@@ -211,8 +208,7 @@ let compute ?pool st q =
     Core.Pipeline.run ~keep_module:st.keep_module ~min_cluster:q.q_min_cluster
       ~m_sample:q.q_m_sample ~min_community:q.q_min_community
       ~max_iterations:q.q_max_iterations ~stop_size:q.q_stop_size
-      ?gn_approx:q.q_gn_approx ~partitioner:q.q_detector ?pool ~engine:q.q_engine
-      ~frozen:snap.Snapshot.frozen mg ~outputs:q.q_targets ~detect:st.detect
+      ?gn_approx:q.q_gn_approx ~partitioner:q.q_detector ?pool ~frozen:snap.Snapshot.frozen mg ~outputs:q.q_targets ~detect:st.detect
   in
   let result = pipeline.Core.Pipeline.result in
   let located =
@@ -222,7 +218,6 @@ let compute ?pool st q =
   {
     Cache.a_targets = q.q_targets;
     a_detector = q.q_detector_name;
-    a_engine = Core.Refine.engine_string q.q_engine;
     a_slice_nodes = List.length pipeline.Core.Pipeline.slice.Core.Slice.nodes;
     a_slice_targets = List.length pipeline.Core.Pipeline.slice.Core.Slice.targets;
     a_iterations = List.length result.Core.Refine.iterations;
@@ -275,7 +270,7 @@ let answer_json ~id ~cached ~coalesced ~elapsed_ms (a : Cache.answer) =
       ("coalesced", J.Bool coalesced);
       ("targets", J.Arr (List.map (fun t -> J.Str t) a.a_targets));
       ("detector", J.Str a.a_detector);
-      ("engine", J.Str a.a_engine);
+      ("engine", J.Str "masked");
       ("slice_nodes", J.num a.a_slice_nodes);
       ("slice_targets", J.num a.a_slice_targets);
       ("iterations", J.num a.a_iterations);

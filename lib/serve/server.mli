@@ -2,7 +2,7 @@
     ({!Snapshot.t}) over a line-delimited JSON protocol.
 
     Protocol: one request object per line, one response object per
-    line.  Ops: ["query"] (the default — targets/detector/engine plus
+    line.  Ops: ["query"] (the default — targets/detector plus
     the refinement knobs, all defaulting to the single-shot pipeline's
     values), ["ping"], ["stats"], ["shutdown"].  Responses carry
     [status] ("ok"/"error"), the echoed [id], and for queries the

@@ -429,6 +429,56 @@ let ablation_variants_locate () =
         check_bool (r.Ablation.variant ^ " locates wsubbug") true r.Ablation.located)
     rows
 
+(* The flat (single-community) ablation variant against the list-engine
+   oracle: the same loop with the oracle's induced-subgraph ancestor
+   closures must give the same rows on every ablation case. *)
+let ablation_flat_matches_oracle () =
+  let flat = List.find (fun v -> v.Ablation.partitioner = None) Ablation.default_variants in
+  List.iter
+    (fun ((spec : Harness.spec), outputs) ->
+      let fixture = Fixture.make ~inject:spec.Harness.inject Rca_synth.Config.tiny in
+      let mg = fixture.Fixture.mg in
+      let bug_nodes = Fixture.bug_nodes fixture ~canonicals:spec.Harness.bug_canonicals in
+      let detect = Detector.reachability mg ~bug_nodes in
+      let keep_module =
+        if spec.Harness.restrict_to_cam then Rca_synth.Outputs.is_cam_module else fun _ -> true
+      in
+      let slice = Slice.of_outputs ~keep_module ~min_cluster:4 mg outputs in
+      let ancestors_within = Rca_oracle.List_engine.ancestors_within mg in
+      let rec loop nodes budget iterations =
+        let sampled =
+          Refine.central_nodes mg ~m_sample:flat.Ablation.m_sample ~measure:flat.Ablation.measure
+            nodes
+        in
+        let detected = detect sampled in
+        let next =
+          if detected = [] then begin
+            let infl = ancestors_within nodes sampled in
+            List.filter (fun n -> not (List.mem n infl)) nodes
+          end
+          else ancestors_within nodes detected
+        in
+        let iterations = (sampled, detected) :: iterations in
+        if budget = 0 || next = [] || List.length next = List.length nodes then
+          (nodes, List.rev iterations)
+        else loop next (budget - 1) iterations
+      in
+      let final, iters = loop slice.Slice.nodes 10 [] in
+      let located =
+        List.exists
+          (fun b -> List.mem b final || List.exists (fun (_, d) -> List.mem b d) iters)
+          bug_nodes
+      in
+      let row = Ablation.run_variant flat spec fixture ~outputs in
+      let name = spec.Harness.name in
+      check_int (name ^ " iterations") (List.length iters) row.Ablation.iterations;
+      check_int (name ^ " instrumented")
+        (List.length (List.sort_uniq compare (List.concat_map fst iters)))
+        row.Ablation.instrumented;
+      check_int (name ^ " final size") (List.length final) row.Ablation.final_size;
+      check_bool (name ^ " located") located row.Ablation.located)
+    Ablation.cases
+
 let coverage_report_shape () =
   let fixture = Fixture.make Rca_synth.Config.tiny in
   let rep = fixture.Fixture.coverage_report in
@@ -499,6 +549,7 @@ let () =
           Alcotest.test_case "AVX2 kernel flags" `Slow avx2_kernel_flags;
           Alcotest.test_case "Table 1 shape" `Slow table1_tiny_shape;
           Alcotest.test_case "ablation" `Slow ablation_variants_locate;
+          Alcotest.test_case "ablation flat = list oracle" `Slow ablation_flat_matches_oracle;
           Alcotest.test_case "coverage shape" `Quick coverage_report_shape;
           Alcotest.test_case "figures" `Quick figures_well_formed;
         ] );

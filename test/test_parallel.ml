@@ -14,6 +14,7 @@
      final node set on the tiny model fixture. *)
 
 open Rca_graph
+module List_engine = Rca_oracle.List_engine
 
 (* Spawn the pools once for the whole suite — the pool is designed to be
    reused, and these tests exercise exactly that. *)
@@ -102,14 +103,15 @@ let empty_graph_all_paths () =
   let step = Community.girvan_newman_step ~pool:pool4 g in
   check_int "no communities" 0 (Community.community_count step.Community.partition)
 
-(* The Betweenness.create_acc regression: an edgeless graph used to
-   request a size-0 table (2 * m = 0); the size is now clamped. *)
+(* The create_acc regression in the hashtable Brandes oracle: an
+   edgeless graph used to request a size-0 table (2 * m = 0); the size
+   is now clamped. *)
 let edgeless_graph_betweenness () =
   let g = Digraph.of_edges ~n:5 [] in
   check_int "m" 0 (Digraph.m g);
-  let acc = Betweenness.create_acc g in
-  check_int "acc nodes" 5 (Array.length acc.Betweenness.node_bc);
-  check_int "acc edges empty" 0 (Hashtbl.length acc.Betweenness.edge_bc);
+  let acc = Rca_oracle.Brandes_ref.create_acc g in
+  check_int "acc nodes" 5 (Array.length acc.Rca_oracle.Brandes_ref.node_bc);
+  check_int "acc edges empty" 0 (Hashtbl.length acc.Rca_oracle.Brandes_ref.edge_bc);
   let seq = Betweenness.node_betweenness ~normalized:false g in
   let par = Betweenness.node_betweenness ~normalized:false ~pool:pool4 g in
   Alcotest.(check (array (float 1e-12))) "all zero seq" (Array.make 5 0.0) seq;
@@ -268,9 +270,10 @@ let refine_domains_deterministic () =
 
 let pipeline_engines_identical () =
   (* End to end on the tiny model fixture: slice, every iteration, final
-     nodes, outcome and located bugs agree between the engines — with
-     and without a reachability detector, and with static-dead pruning
-     (mask flips vs materialized Prune.without_nodes) in play. *)
+     nodes, outcome and located bugs agree between the masked pipeline
+     and the list-engine oracle — with and without a reachability
+     detector, and with static-dead pruning (mask flips vs the oracle's
+     materialized pruned copy) in play. *)
   let fixture = Lazy.force tiny_fixture in
   let mg = fixture.Fixture.mg in
   let dead =
@@ -285,13 +288,15 @@ let pipeline_engines_identical () =
         if bug_nodes = [] then Rca_core.Detector.never
         else Rca_core.Detector.reachability mg ~bug_nodes
       in
-      let run engine =
-        Rca_core.Pipeline.run ~min_cluster:2 ~stop_size:2 ~max_iterations:3 ~engine
-          ~static_dead mg
-          ~outputs:[ "aqsnow"; "cloud" ]
-          ~detect
+      let outputs = [ "aqsnow"; "cloud" ] in
+      let a =
+        List_engine.pipeline_run ~min_cluster:2 ~stop_size:2 ~max_iterations:3 ~static_dead
+          mg ~outputs ~detect
       in
-      let a = run `List and b = run `Masked in
+      let b =
+        Rca_core.Pipeline.run ~min_cluster:2 ~stop_size:2 ~max_iterations:3 ~static_dead mg
+          ~outputs ~detect
+      in
       Alcotest.(check (list int))
         (label ^ ": slice nodes")
         a.Rca_core.Pipeline.slice.Rca_core.Slice.nodes
@@ -312,7 +317,7 @@ let pipeline_engines_identical () =
       ("static-dead", [ 0 ], dead);
     ]
 
-(* --- masked engine = list engine -------------------------------------------------- *)
+(* --- masked engine = list-engine oracle ------------------------------------------- *)
 
 module MG = Rca_metagraph.Metagraph
 
@@ -351,10 +356,10 @@ let synthetic_mg g =
       };
   }
 
-(* Full-result equality between the engines: iteration sequences
-   (nodes, edges, communities, sampling, detections), final node set and
-   outcome — across random graphs, detectors, domain counts and exact vs
-   sampled G-N.  This is the differential oracle for the masked engine. *)
+(* Full-result equality with the list-engine oracle: iteration
+   sequences (nodes, edges, communities, sampling, detections), final
+   node set and outcome — across random graphs, detectors, domain counts
+   and exact vs sampled G-N. *)
 let prop_refine_engines_identical =
   QCheck2.Test.make ~name:"masked refine = list refine (full result)" ~count:20
     graph_gen (fun g ->
@@ -371,11 +376,9 @@ let prop_refine_engines_identical =
         (fun detect ->
           List.for_all
             (fun domains ->
-              let run engine =
-                Rca_core.Refine.refine ~engine ?domains mg ~initial ~detect
-                  ~stop_size:2 ~max_iterations:4
-              in
-              run `List = run `Masked)
+              List_engine.refine ?domains mg ~initial ~detect ~stop_size:2 ~max_iterations:4
+              = Rca_core.Refine.refine ?domains mg ~initial ~detect ~stop_size:2
+                  ~max_iterations:4)
             [ None; Some 2 ])
         detectors)
 
@@ -384,15 +387,16 @@ let prop_refine_engines_identical_approx =
     graph_gen (fun g ->
       let mg = synthetic_mg g in
       let initial = List.init (Digraph.n g) Fun.id in
-      let run engine =
-        Rca_core.Refine.refine ~engine ~gn_approx:8 ~domains:2 mg ~initial
-          ~detect:Rca_core.Detector.never ~stop_size:2 ~max_iterations:3
-      in
-      run `List = run `Masked)
+      let detect = Rca_core.Detector.never in
+      List_engine.refine ~gn_approx:8 ~domains:2 mg ~initial ~detect ~stop_size:2
+        ~max_iterations:3
+      = Rca_core.Refine.refine ~gn_approx:8 ~domains:2 mg ~initial ~detect ~stop_size:2
+          ~max_iterations:3)
 
-(* Slicing on canonical names over the synthetic metagraph: both engines,
-   with module restriction, exclusions and cluster dropping in play; and
-   [contains] must agree with list membership (the node_set lockdown). *)
+(* Slicing on canonical names over the synthetic metagraph: masked slice
+   vs the list-engine oracle, with module restriction, exclusions and
+   cluster dropping in play; and [contains] must agree with list
+   membership (the node_set lockdown). *)
 let prop_slice_engines_identical =
   QCheck2.Test.make ~name:"masked slice = list slice (+ contains lockdown)" ~count:30
     graph_gen (fun g ->
@@ -400,12 +404,11 @@ let prop_slice_engines_identical =
       let n = Digraph.n g in
       let internals = [ "v0"; Printf.sprintf "v%d" (n - 1) ] in
       let exclude = List.filter (fun v -> v mod 7 = 3) (List.init n Fun.id) in
-      let run engine =
-        Rca_core.Slice.of_internals
-          ~keep_module:(fun m -> m <> "phys")
-          ~min_cluster:2 ~engine ~exclude mg internals
+      let keep_module m = m <> "phys" in
+      let a =
+        List_engine.slice_of_internals ~keep_module ~min_cluster:2 ~exclude mg internals
       in
-      let a = run `List and b = run `Masked in
+      let b = Rca_core.Slice.of_internals ~keep_module ~min_cluster:2 ~exclude mg internals in
       a.Rca_core.Slice.nodes = b.Rca_core.Slice.nodes
       && a.Rca_core.Slice.targets = b.Rca_core.Slice.targets
       && List.for_all
@@ -413,6 +416,71 @@ let prop_slice_engines_identical =
              Rca_core.Slice.contains b v = List.mem v b.Rca_core.Slice.nodes
              && Rca_core.Slice.contains a v = Rca_core.Slice.contains b v)
            (List.init n Fun.id))
+
+(* The narrowing fallback and static pruning against the oracle.  An
+   everything-differs detector makes 8b keep the sampled nodes' whole
+   ancestor closure, which on these graphs is often the whole node set:
+   a non-refining step, where [choose_when_stuck] narrows to one node's
+   closure (masked reverse BFS vs the oracle's induced-subgraph
+   rebuild).  Both choosers run.  The pipeline half nominates every
+   even node as statically dead: sinks that are not targets get pruned,
+   the rest must be rejected, identically on both engines.  [fired]
+   counts chooser calls. *)
+let choosers_and_static_dead_agree ~fired g =
+  let mg = synthetic_mg g in
+  let n = Digraph.n g in
+  let initial = List.init n Fun.id in
+  let counted choose nodes detected =
+    incr fired;
+    choose nodes detected
+  in
+  let magnitude v = float_of_int (v * 7919 mod 101) in
+  let choosers =
+    [
+      counted (Rca_core.Refine.smallest_ancestry mg);
+      counted (fun _ detected -> Rca_core.Refine.by_magnitude magnitude detected);
+    ]
+  in
+  let everything = Rca_core.Detector.of_differing_set initial in
+  List.for_all
+    (fun choose_when_stuck ->
+      List_engine.refine ~choose_when_stuck mg ~initial ~detect:everything ~stop_size:2
+        ~max_iterations:4
+      = Rca_core.Refine.refine ~choose_when_stuck mg ~initial ~detect:everything ~stop_size:2
+          ~max_iterations:4)
+    choosers
+  &&
+  (Hashtbl.replace mg.MG.io_map "out" [ "v0"; Printf.sprintf "v%d" (n - 1) ];
+   let static_dead = List.filter (fun v -> v mod 2 = 0) initial in
+   let detect = Rca_core.Detector.of_differing_set (List.filter (fun v -> v mod 5 = 0) initial) in
+   let choose_when_stuck = List.hd choosers and outputs = [ "out" ] in
+   let a =
+     List_engine.pipeline_run ~min_cluster:2 ~stop_size:2 ~max_iterations:3 ~static_dead
+       ~choose_when_stuck mg ~outputs ~detect
+   in
+   let b =
+     Rca_core.Pipeline.run ~min_cluster:2 ~stop_size:2 ~max_iterations:3 ~static_dead
+       ~choose_when_stuck mg ~outputs ~detect
+   in
+   a.Rca_core.Pipeline.slice.Rca_core.Slice.nodes = b.Rca_core.Pipeline.slice.Rca_core.Slice.nodes
+   && a.Rca_core.Pipeline.slice.Rca_core.Slice.targets
+      = b.Rca_core.Pipeline.slice.Rca_core.Slice.targets
+   && a.Rca_core.Pipeline.result = b.Rca_core.Pipeline.result)
+
+let prop_choosers_and_static_dead =
+  QCheck2.Test.make ~name:"masked = list oracle (choose_when_stuck, static_dead)" ~count:20
+    graph_gen (choosers_and_static_dead_agree ~fired:(ref 0))
+
+(* The property above only means something if the fallback runs: on a
+   fixed set of graphs it must be called. *)
+let choosers_exercised () =
+  let fired = ref 0 in
+  for seed = 0 to 9 do
+    let g = Gen.gnm ~seed ~n:30 ~m:75 in
+    check_bool (Printf.sprintf "seed %d agrees" seed) true
+      (choosers_and_static_dead_agree ~fired g)
+  done;
+  check_bool "choose_when_stuck was called" true (!fired > 0)
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
@@ -431,6 +499,7 @@ let engine_qcheck_cases =
       prop_refine_engines_identical;
       prop_refine_engines_identical_approx;
       prop_slice_engines_identical;
+      prop_choosers_and_static_dead;
     ]
 
 let () =
@@ -469,5 +538,6 @@ let () =
       ( "engine",
         Alcotest.test_case "pipeline masked = list (incl. located bugs)" `Quick
           pipeline_engines_identical
+        :: Alcotest.test_case "choose_when_stuck exercised" `Quick choosers_exercised
         :: engine_qcheck_cases );
     ]

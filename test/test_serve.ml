@@ -1,9 +1,10 @@
 (* Tests for rca_serve: the JSON codec, the LRU cache, snapshot
    save/load round trips (the byte-identity contract: a pipeline run on
-   a loaded snapshot equals one on the freshly built model, both
-   engines), rejection of damaged snapshot files, and a forked
-   query-daemon end-to-end exercise including garbage requests (the
-   daemon must answer an error object and keep serving). *)
+   a loaded snapshot equals one on the freshly built model, on the
+   masked pipeline and on the list-engine oracle), rejection of damaged
+   snapshot files, and a forked query-daemon end-to-end exercise
+   including garbage requests (the daemon must answer an error object
+   and keep serving). *)
 
 open Rca_experiments
 module MG = Rca_metagraph.Metagraph
@@ -243,7 +244,9 @@ let strip t =
     t.Rca_core.Pipeline.result.Rca_core.Refine.outcome )
 
 (* The tentpole property: a pipeline run on the loaded snapshot is
-   byte-identical to one on the freshly built model, on both engines. *)
+   byte-identical to one on the freshly built model — on the masked
+   pipeline (sharing the loaded frozen CSR) and on the list-engine
+   oracle (rebuilding from the loaded metagraph). *)
 let snapshot_pipeline_identical engine () =
   let snap = Lazy.force compiled in
   let loaded =
@@ -256,9 +259,14 @@ let snapshot_pipeline_identical engine () =
   in
   let targets = List.sort_uniq compare snap.Snap.default_targets in
   let run (s : Snap.t) =
-    Rca_core.Pipeline.run ~keep_module ~min_cluster:4 ~m_sample:10 ~gn_approx:128
-      ~stop_size:30 ~engine ~frozen:s.Snap.frozen s.Snap.mg ~outputs:targets
-      ~detect:(Rca_core.Detector.reachability s.Snap.mg ~bug_nodes:s.Snap.bug_nodes)
+    let detect = Rca_core.Detector.reachability s.Snap.mg ~bug_nodes:s.Snap.bug_nodes in
+    match engine with
+    | `Masked ->
+        Rca_core.Pipeline.run ~keep_module ~min_cluster:4 ~m_sample:10 ~gn_approx:128
+          ~stop_size:30 ~frozen:s.Snap.frozen s.Snap.mg ~outputs:targets ~detect
+    | `List ->
+        Rca_oracle.List_engine.pipeline_run ~keep_module ~min_cluster:4 ~m_sample:10
+          ~gn_approx:128 ~stop_size:30 s.Snap.mg ~outputs:targets ~detect
   in
   let orig = run snap and reloaded = run loaded in
   check_bool "pipeline results identical" true (strip orig = strip reloaded);
@@ -348,7 +356,6 @@ let mk_answer i =
   {
     Cache.a_targets = [ Printf.sprintf "T%d" i ];
     a_detector = "gn";
-    a_engine = "masked";
     a_slice_nodes = 10 * i;
     a_slice_targets = 1;
     a_iterations = 2;
@@ -357,6 +364,32 @@ let mk_answer i =
     a_candidates = [ (Printf.sprintf "cand%d" i, "mod", "sub", 40 + i) ];
     a_located = [ "mod::sub@41" ];
   }
+
+(* A cache sidecar in the version-1 layout, whose answers carried an
+   engine string after the detector. *)
+let write_v1_sidecar path ~snapshot_checksum entries =
+  Binio.write_framed ~magic:"RCACACHE" ~version:1 path (fun buf ->
+      Binio.w_i64 buf snapshot_checksum;
+      Binio.w_list buf
+        (fun buf (key, (a : Cache.answer)) ->
+          Binio.w_str buf key;
+          Binio.w_list buf Binio.w_str a.Cache.a_targets;
+          Binio.w_str buf a.Cache.a_detector;
+          Binio.w_str buf "masked";
+          Binio.w_int buf a.Cache.a_slice_nodes;
+          Binio.w_int buf a.Cache.a_slice_targets;
+          Binio.w_int buf a.Cache.a_iterations;
+          Binio.w_str buf a.Cache.a_outcome;
+          Binio.w_int buf a.Cache.a_final_nodes;
+          Binio.w_list buf
+            (fun buf (name, module_, sub, line) ->
+              Binio.w_str buf name;
+              Binio.w_str buf module_;
+              Binio.w_str buf sub;
+              Binio.w_int buf line)
+            a.Cache.a_candidates;
+          Binio.w_list buf Binio.w_str a.Cache.a_located)
+        entries)
 
 let cache_roundtrip_and_invalidation () =
   let lru = Lru.create 4 in
@@ -412,7 +445,17 @@ let cache_roundtrip_and_invalidation () =
   expect_cache_error ~substr:"bad magic" (flip data 0);
   expect_cache_error ~substr:"cache version" (flip data 8);
   expect_cache_error ~substr:"checksum mismatch" (flip data 40);
-  expect_cache_error ~substr:"shorter than the fixed header" (String.sub data 0 12)
+  expect_cache_error ~substr:"shorter than the fixed header" (String.sub data 0 12);
+  (* version 1, whose answers carried an engine string *)
+  let p = Filename.temp_file "rca_cache_test" ".rcacache" in
+  write_v1_sidecar p ~snapshot_checksum:42L (Lru.to_list lru);
+  let v1 = Cache.load p ~snapshot_checksum:42L ~capacity:4 in
+  Sys.remove p;
+  match v1 with
+  | Ok _ -> Alcotest.fail "version-1 sidecar loaded"
+  | Error msg ->
+      check_bool "version-1 sidecar names the version" true
+        (contains_substring msg "cache version")
 
 (* --- forked daemon end to end ------------------------------------------------------- *)
 
@@ -516,6 +559,11 @@ let daemon_survives_garbage () =
       Alcotest.(check (option string))
         "unknown detector reply names gn|greedy" (Some {|unknown detector "lp" (gn|greedy)|})
         (Option.bind (J.member "error" r) J.string_opt);
+      (* an unknown engine's reply names the one engine the daemon has *)
+      let r = reply conn [ ("op", J.Str "query"); ("engine", J.Str "list") ] in
+      Alcotest.(check (option string))
+        "unknown engine reply names masked" (Some {|unknown engine "list" (masked)|})
+        (Option.bind (J.member "error" r) J.string_opt);
       (* the daemon is still alive and still answers good requests *)
       let ping = reply conn [ ("op", J.Str "ping"); ("id", J.num 9) ] in
       check_bool "ping after garbage" true (status ping = Some "ok");
@@ -523,7 +571,7 @@ let daemon_survives_garbage () =
       let stats = reply conn [ ("op", J.Str "stats") ] in
       check_bool "errors counted" true
         (match Option.bind (J.member "errors" stats) J.int_opt with
-        | Some e -> e = 9
+        | Some e -> e = 10
         | None -> false))
 
 let strip_reply r =
@@ -688,6 +736,27 @@ let daemon_warm_restart () =
      Unix.rmdir dir
    with Sys_error _ | Unix.Unix_error _ -> ())
 
+(* A sidecar left by a daemon that wrote version-1 answers is refused at
+   startup: the new daemon starts cold and recomputes. *)
+let daemon_v1_sidecar_starts_cold () =
+  let dir = Filename.temp_file "rca_cache_v1" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let cache_path = Filename.concat dir "rca.cache" in
+  write_v1_sidecar cache_path
+    ~snapshot_checksum:(Snap.checksum (Lazy.force compiled))
+    [ ("stale", mk_answer 1) ];
+  with_daemon ~cache_path (fun conn ->
+      let stats = reply conn [ ("op", J.Str "stats") ] in
+      check_bool "no warm entries" true
+        (Option.bind (J.member "warm_entries" stats) J.int_opt = Some 0);
+      let r = reply conn [ ("op", J.Str "query"); ("detector", J.Str "greedy") ] in
+      check_bool "first query computes" true (J.member "cached" r = Some (J.Bool false)));
+  (try
+     if Sys.file_exists cache_path then Sys.remove cache_path;
+     Unix.rmdir dir
+   with Sys_error _ | Unix.Unix_error _ -> ())
+
 let daemon_empty_targets_default () =
   with_daemon (fun conn ->
       let q = reply conn [ ("op", J.Str "query"); ("detector", J.Str "greedy") ] in
@@ -738,6 +807,8 @@ let () =
           Alcotest.test_case "concurrent out-of-order" `Quick daemon_concurrent_out_of_order;
           Alcotest.test_case "in-flight coalescing" `Quick daemon_inflight_coalescing;
           Alcotest.test_case "warm restart" `Quick daemon_warm_restart;
+          Alcotest.test_case "version-1 sidecar starts cold" `Quick
+            daemon_v1_sidecar_starts_cold;
           Alcotest.test_case "empty targets use defaults" `Quick daemon_empty_targets_default;
         ] );
     ]
