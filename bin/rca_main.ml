@@ -4,13 +4,19 @@
      generate     emit the synthetic model source tree
      stats        build-filter, coverage and metagraph statistics
      modules      module ranking by quotient-graph centrality (Section 6.5)
-     experiment   run one of the six experiments end to end (Section 6)
+     lint         static dataflow lint cross-checked against the metagraph
+     experiment   run one of the seven experiments end to end (Section 6)
+     campaign     fault-injection campaign scored against ground truth
      compile      persist the built model as a binary snapshot
      serve        query daemon over a loaded snapshot (line JSON protocol)
      query        one-shot client for a running serve daemon
      table1       selective AVX2/FMA disablement (Table 1)
      table2       selected outputs and internal counterparts (Table 2)
-     figures      degree-distribution and centrality figure data (Figs 4-11) *)
+     figures      degree-distribution and centrality figure data (Figs 4-11)
+     ablation     design-choice ablation of the refinement
+
+   With --scale paper, experiment, table1, table2 and figures print the
+   rows EXPERIMENTS.md reports. *)
 
 open Cmdliner
 open Rca_experiments
@@ -39,8 +45,8 @@ let scale_arg =
     & info [ "s"; "scale" ] ~docv:"SCALE" ~doc:"Model scale: tiny, small, paper or huge.")
 
 (* Detector names parse through the one shared helper
-   (Refine.partitioner_of_string) so this flag and bench/main's --detector
-   accept the same vocabulary. *)
+   (Refine.partitioner_of_string), the vocabulary the query daemon's
+   "detector" field also accepts. *)
 let partitioner_conv =
   Arg.conv
     ( (fun s ->
@@ -735,7 +741,10 @@ let query_cmd =
 let table1_cmd =
   let run config members =
     let p = { (Table1.default_params config) with Table1.ensemble_members = members } in
-    Format.printf "%a@." Table1.pp (Table1.run p);
+    let r = Table1.run p in
+    Format.printf "%a@." Table1.pp r;
+    Format.printf "central modules: %s@."
+      (String.concat ", " (List.filteri (fun i _ -> i < 12) r.Table1.central_modules));
     0
   in
   Cmd.v
@@ -748,14 +757,14 @@ let table2_cmd =
   let run config =
     let fixture = Fixture.make config in
     let mg = fixture.Fixture.mg in
-    Printf.printf "%-12s %-14s %s\n" "output" "internal" "module (from outfld instrumentation)";
+    Printf.printf "Table 2: output variables and internal counterparts\n";
+    Printf.printf "%-12s %-14s %-16s %s\n" "output" "internal" "module" "recovered from outfld";
     List.iter
       (fun e ->
         let recovered = Rca_metagraph.Metagraph.io_internal_names mg e.Rca_synth.Outputs.output in
-        Printf.printf "%-12s %-14s %s%s\n" e.Rca_synth.Outputs.output
+        Printf.printf "%-12s %-14s %-16s %s\n" e.Rca_synth.Outputs.output
           e.Rca_synth.Outputs.internal e.Rca_synth.Outputs.module_
-          (if List.mem e.Rca_synth.Outputs.internal recovered then ""
-           else "  [MISMATCH: recovered " ^ String.concat "," recovered ^ "]"))
+          (String.concat "," recovered))
       Rca_synth.Outputs.catalogue;
     0
   in
@@ -768,13 +777,8 @@ let table2_cmd =
 let figures_cmd =
   let run config =
     let fixture = Fixture.make config in
-    let mg = fixture.Fixture.mg in
-    Format.printf "%a@." Figures.pp_degree_figure (Figures.fig4 mg);
-    (* GOFFGRATCH slice for figs 10 and 11 *)
-    let bugged = Harness.run ~validate_sampling:false Experiments.goffgratch
-        { (Harness.default_params config) with Harness.ensemble_members = 15 }
-    in
-    let slice = bugged.Harness.pipeline.Rca_core.Pipeline.slice in
+    Format.printf "%a@." Figures.pp_degree_figure (Figures.fig4 fixture.Fixture.mg);
+    let slice = Figures.goffgratch_slice config in
     Format.printf "%a@." Figures.pp_degree_figure (Figures.fig10 slice);
     Format.printf "%a@." Figures.pp_centrality_figure (Figures.fig11 slice);
     0
@@ -783,13 +787,28 @@ let figures_cmd =
     (Cmd.info "figures" ~doc:"Degree-distribution and centrality figure data (Figs 4, 9-11)")
     Term.(const run $ scale_arg)
 
+(* --- ablation ------------------------------------------------------------------------ *)
+
+let ablation_cmd =
+  let run config =
+    Format.printf "%a@." Ablation.pp (Ablation.run config);
+    0
+  in
+  Cmd.v
+    (Cmd.info "ablation"
+       ~doc:
+         "Design-choice ablation of the refinement over five experiments (simulated \
+          sampling, fixed affected outputs): bugs located and nodes instrumented per \
+          variant")
+    Term.(const run $ scale_arg)
+
 let main_cmd =
   Cmd.group
     (Cmd.info "rca_main" ~version:"1.0.0"
        ~doc:"Root cause analysis for large Fortran code bases (HPDC'19 reproduction)")
     [
       generate_cmd; stats_cmd; modules_cmd; lint_cmd; experiment_cmd; campaign_cmd;
-      compile_cmd; serve_cmd; query_cmd; table1_cmd; table2_cmd; figures_cmd;
+      compile_cmd; serve_cmd; query_cmd; table1_cmd; table2_cmd; figures_cmd; ablation_cmd;
     ]
 
 let () = exit (Cmd.eval' main_cmd)

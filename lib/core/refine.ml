@@ -69,8 +69,9 @@ let partitioner_string = function
   | Girvan_newman -> "gn"
   | Modularity_greedy -> "greedy"
 
-(* One detector vocabulary shared by every surface (bin/rca_main,
-   bench/main, the serve daemon) so the names cannot drift. *)
+(* One detector vocabulary shared by every surface (bin/rca_main's
+   --detector, the serve daemon's "detector" field) so the names cannot
+   drift. *)
 let partitioner_names = String.concat "|" (List.map partitioner_string partitioners)
 
 let partitioner_of_string s =

@@ -26,6 +26,23 @@ let degree_figure ~label g =
 
 let fig4 (mg : MG.t) = degree_figure ~label:"Fig 4/9: full model digraph" mg.MG.graph
 
+(* The slice Figs. 10 and 11 draw: the GOFFGRATCH-injected model sliced
+   on the paper's five affected outputs, CAM modules only, residual
+   clusters under 4 nodes dropped, before any refinement.  No ensemble
+   runs: the outputs are fixed rather than ECT-selected. *)
+let goffgratch_slice config =
+  let spec = Experiments.goffgratch in
+  let fixture = Fixture.make ~inject:spec.Harness.inject config in
+  let mg = fixture.Fixture.mg in
+  let bug_nodes = Fixture.bug_nodes fixture ~canonicals:spec.Harness.bug_canonicals in
+  let pipeline =
+    Rca_core.Pipeline.run ~keep_module:Rca_synth.Outputs.is_cam_module ~min_cluster:4
+      ~max_iterations:0 mg
+      ~outputs:[ "cloud"; "cldtot"; "aqsnow"; "freqs"; "ccn3" ]
+      ~detect:(Rca_core.Detector.reachability mg ~bug_nodes)
+  in
+  pipeline.Rca_core.Pipeline.slice
+
 let fig10 (slice : Rca_core.Slice.t) =
   let sub = Rca_core.Slice.subgraph slice in
   degree_figure ~label:"Fig 10: GOFFGRATCH subgraph" sub.G.Digraph.graph

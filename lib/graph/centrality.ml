@@ -2,7 +2,7 @@
 
    The pipeline ranks nodes inside each community by eigenvector
    *in*-centrality (information sinks: nodes likely to be affected by bug
-   sources).  Degree, Katz, PageRank and the Hashimoto non-backtracking
+   sources).  Degree, PageRank and the Hashimoto non-backtracking
    centrality are provided for the comparisons the paper reports. *)
 
 type direction = In | Out
@@ -93,35 +93,6 @@ let eigenvector ?(direction = In) ?(max_iter = 200) ?(tol = 1e-10) ?pool g =
       end
     in
     iterate max_iter x x'
-  end
-
-(* Katz centrality with attenuation [alpha] and unit exogenous weight,
-   solved by fixed-point iteration: x = alpha * M x + 1. *)
-let katz ?(direction = In) ?(alpha = 0.05) ?(max_iter = 500) ?(tol = 1e-10) g =
-  let n = Digraph.n g in
-  if n = 0 then [||]
-  else begin
-    let x = Array.make n 1.0 in
-    let rec iterate k =
-      if k = 0 then ()
-      else begin
-        let x' = Array.make n 1.0 in
-        Digraph.iter_edges
-          (fun u v ->
-            match direction with
-            | In -> x'.(v) <- x'.(v) +. (alpha *. x.(u))
-            | Out -> x'.(u) <- x'.(u) +. (alpha *. x.(v)))
-          g;
-        let delta = ref 0.0 in
-        for i = 0 to n - 1 do
-          delta := !delta +. abs_float (x'.(i) -. x.(i));
-          x.(i) <- x'.(i)
-        done;
-        if !delta >= tol then iterate (k - 1)
-      end
-    in
-    iterate max_iter;
-    l2_normalize x
   end
 
 (* PageRank with damping [d]; dangling mass is redistributed uniformly.

@@ -25,10 +25,6 @@ val eigenvector :
     rows across domains without changing any sum (sequential and
     parallel sweeps agree bitwise at every pool size). *)
 
-val katz :
-  ?direction:direction -> ?alpha:float -> ?max_iter:int -> ?tol:float -> Digraph.t -> float array
-(** Katz centrality with attenuation [alpha] and unit exogenous weight. *)
-
 val pagerank : ?d:float -> ?max_iter:int -> ?tol:float -> Digraph.t -> float array
 (** PageRank with damping [d]; dangling mass redistributed uniformly.
     Sums to 1. *)

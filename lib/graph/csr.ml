@@ -159,8 +159,6 @@ type mask = Bytes.t
 
 let full_mask t = Bytes.make t.n '\001'
 
-let empty_mask t = Bytes.make t.n '\000'
-
 let mask_of_list t nodes =
   let m = Bytes.make t.n '\000' in
   List.iter
@@ -172,23 +170,12 @@ let mask_of_list t nodes =
 
 let mask_mem m v = Bytes.unsafe_get m v <> '\000'
 
-let mask_set m v alive = Bytes.unsafe_set m v (if alive then '\001' else '\000')
-
-let mask_count m =
-  let c = ref 0 in
-  for v = 0 to Bytes.length m - 1 do
-    if Bytes.unsafe_get m v <> '\000' then incr c
-  done;
-  !c
-
 let mask_to_list m =
   let acc = ref [] in
   for v = Bytes.length m - 1 downto 0 do
     if Bytes.unsafe_get m v <> '\000' then acc := v :: !acc
   done;
   !acc
-
-let mask_copy = Bytes.copy
 
 (* Arcs with both endpoints alive — the induced subgraph's edge count,
    without building it.  O(sum of alive out-degrees). *)

@@ -62,20 +62,15 @@ val transpose : t -> t
 type mask = Bytes.t
 
 val full_mask : t -> mask
-val empty_mask : t -> mask
 
 val mask_of_list : t -> int list -> mask
 (** Mask with exactly the listed nodes alive; raises on out-of-range
     ids. *)
 
 val mask_mem : mask -> int -> bool
-val mask_set : mask -> int -> bool -> unit
-val mask_count : mask -> int
 
 val mask_to_list : mask -> int list
 (** Alive nodes, ascending. *)
-
-val mask_copy : mask -> mask
 
 val alive_arcs : t -> mask -> int
 (** Number of arcs with both endpoints alive — the induced subgraph's

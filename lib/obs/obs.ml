@@ -205,8 +205,7 @@ let chrome_trace_json () =
   Buffer.contents buf
 
 (* Flat aggregate: per-span-name count/total/mean/max plus counters and
-   gauges, keys sorted for stable diffs — the shape BENCH_pipeline.json
-   embeds. *)
+   gauges, keys sorted for stable diffs. *)
 let summary_json () =
   let evs = spans () in
   let agg : (string, int * float * float) Hashtbl.t = Hashtbl.create 32 in

@@ -83,8 +83,7 @@ val chrome_trace_json : unit -> string
 
 val summary_json : unit -> string
 (** Flat aggregate JSON: per-span-name [count]/[total_ms]/[mean_ms]/
-    [max_ms], counters and gauges, keys sorted — the shape
-    [BENCH_pipeline.json] embeds. *)
+    [max_ms], counters and gauges, keys sorted. *)
 
 val write_chrome_trace : string -> unit
 val write_summary : string -> unit

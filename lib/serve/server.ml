@@ -37,7 +37,10 @@
 
    Per-request failures (garbage bytes, unknown ops, bad targets, an
    exception out of the pipeline) become {"status":"error"} replies and
-   an [errors] tick; the daemon itself never dies on request input. *)
+   an [errors] tick; the daemon itself never dies on request input.  A
+   request line longer than [max_line_bytes] gets an error reply and
+   then its connection is closed, as is a connection whose read fails;
+   other connections are untouched. *)
 
 module G = Rca_graph
 module MG = Rca_metagraph.Metagraph
@@ -59,10 +62,13 @@ type stats = {
 
 type conn = {
   fd : Unix.file_descr;
-  mutable pending : string;  (* bytes read but not yet terminated by \n *)
+  pending : Buffer.t;  (* bytes read but not yet terminated by \n *)
   mutable out : string;  (* reply bytes accepted but not yet written *)
   mutable alive : bool;
+  mutable closing : bool;  (* no more reads; close once [out] is written *)
 }
+
+let max_line_bytes = 1 lsl 20
 
 (* One request waiting on an in-flight computation. *)
 type waiter = { w_conn : conn; w_id : J.t; w_t0 : int64; w_coalesced : bool }
@@ -478,18 +484,29 @@ let flush_out conn =
     | exception (Unix.Unix_error _ | Sys_error _) -> conn.alive <- false
   end
 
-(* Split every complete line out of a connection's buffer. *)
-let drain_lines conn =
-  let rec go acc =
-    match String.index_opt conn.pending '\n' with
-    | None -> List.rev acc
-    | Some i ->
-        let line = String.sub conn.pending 0 i in
-        conn.pending <-
-          String.sub conn.pending (i + 1) (String.length conn.pending - i - 1);
-        go (line :: acc)
+(* Append [k] freshly read bytes to a connection's partial line and
+   split out every line they complete: [`Line] per complete line, then
+   [`Overflow] (and nothing after it) once a line outgrows
+   [max_line_bytes]. *)
+let take_lines conn buf k =
+  let rec newline i = if i >= k || Bytes.get buf i = '\n' then i else newline (i + 1) in
+  let rec go pos acc =
+    let stop = newline pos in
+    if Buffer.length conn.pending + (stop - pos) > max_line_bytes then begin
+      Buffer.clear conn.pending;
+      List.rev (`Overflow :: acc)
+    end
+    else begin
+      Buffer.add_subbytes conn.pending buf pos (stop - pos);
+      if stop = k then List.rev acc
+      else begin
+        let line = Buffer.contents conn.pending in
+        Buffer.clear conn.pending;
+        go (stop + 1) (`Line line :: acc)
+      end
+    end
   in
-  go []
+  go 0 []
 
 let drain_notify st =
   let b = Bytes.create 64 in
@@ -511,7 +528,10 @@ let serve_loop ?cache_save_every st listener =
     ref (match cache_save_every with None -> None | Some s -> Some (Unix.gettimeofday () +. s))
   in
   while st.running do
-    let rfds = st.notify_r :: listener :: List.map (fun c -> c.fd) !conns in
+    let rfds =
+      st.notify_r :: listener
+      :: List.filter_map (fun c -> if c.closing then None else Some c.fd) !conns
+    in
     let wfds = List.filter_map (fun c -> if c.out <> "" then Some c.fd else None) !conns in
     let timeout =
       match !next_save with
@@ -532,7 +552,9 @@ let serve_loop ?cache_save_every st listener =
             match Unix.accept listener with
             | fd, _ ->
                 Unix.set_nonblock fd;
-                conns := !conns @ [ { fd; pending = ""; out = ""; alive = true } ];
+                conns :=
+                  !conns
+                  @ [ { fd; pending = Buffer.create 256; out = ""; alive = true; closing = false } ];
                 accept_all ()
             | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN), _, _) -> ()
             | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_all ()
@@ -545,21 +567,26 @@ let serve_loop ?cache_save_every st listener =
         let batch = ref [] in
         List.iter
           (fun conn ->
-            if List.mem conn.fd readable then begin
+            if (not conn.closing) && List.mem conn.fd readable then begin
               match Unix.read conn.fd buf 0 read_chunk_size with
               | 0 -> conn.alive <- false
-              | k ->
-                  conn.pending <- conn.pending ^ Bytes.sub_string buf 0 k;
-                  List.iter (fun line -> batch := (conn, line) :: !batch) (drain_lines conn)
+              | k -> List.iter (fun l -> batch := (conn, l) :: !batch) (take_lines conn buf k)
               | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
                 -> ()
-              | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-                  conn.alive <- false
+              | exception Unix.Unix_error _ -> conn.alive <- false
             end)
           !conns;
         List.iter
-          (fun (conn, line) ->
-            if conn.alive && String.trim line <> "" then respond_line st conn line)
+          (fun (conn, l) ->
+            if conn.alive && not conn.closing then
+              match l with
+              | `Line line -> if String.trim line <> "" then respond_line st conn line
+              | `Overflow ->
+                  st.stats.errors <- st.stats.errors + 1;
+                  enqueue_reply conn
+                    (error_json ~id:J.Null
+                       (Printf.sprintf "request line exceeds %d bytes" max_line_bytes));
+                  conn.closing <- true)
           (List.rev !batch);
         (* opportunistic flush: newly-ready replies usually fit the
            socket buffer, so most rounds never wait for writability *)
@@ -569,7 +596,7 @@ let serve_loop ?cache_save_every st listener =
         conns :=
           List.filter
             (fun conn ->
-              if conn.alive then true
+              if conn.alive && not (conn.closing && conn.out = "") then true
               else begin
                 (try Unix.close conn.fd with Unix.Unix_error _ -> ());
                 false

@@ -22,6 +22,11 @@
     failing queries produce error replies — the daemon never dies on
     request input. *)
 
+val max_line_bytes : int
+(** Longest request line accepted (1 MiB, newline excluded).  A longer
+    line gets an error reply, after which the daemon closes that
+    connection. *)
+
 type addr = [ `Unix of string | `Tcp of int ]
 (** Where to listen: a Unix-domain socket path (unlinked and rebound if
     it exists) or a loopback TCP port. *)

@@ -65,8 +65,8 @@ let paper =
   }
 
 (* Scaling-wall scale: ≥10x the paper metagraph (filler module counts
-   10x across every family, same per-module chain length), for the
-   BENCH_scaling trajectory.  Exact incremental Girvan–Newman is already
+   10x across every family, same per-module chain length), for detector
+   scaling measurements.  Exact incremental Girvan–Newman is already
    infeasible here — which is the point: only the sampled/greedy
    detectors make this size partitionable per query. *)
 let huge =

@@ -70,7 +70,7 @@ let drop_small_clusters (mg : MG.t) nodes ~min_cluster =
   if min_cluster <= 1 then nodes
   else begin
     let sub = G.Digraph.induced_subgraph mg.MG.graph nodes in
-    G.Components.weakly_connected_components sub.G.Digraph.graph
+    Digraph_ref.weakly_connected_components sub.G.Digraph.graph
     |> List.concat_map (fun comp ->
            if List.length comp >= min_cluster then
              List.map (G.Digraph.sub_to_parent sub) comp
@@ -103,7 +103,7 @@ let slice_of_outputs ?keep_module ?min_cluster ?exclude (mg : MG.t) outputs =
 let ancestors_within (mg : MG.t) nodes targets =
   let sub = G.Digraph.induced_subgraph mg.MG.graph nodes in
   let sub_targets = List.filter_map (G.Digraph.sub_of_parent sub) targets in
-  G.Traverse.ancestors sub.G.Digraph.graph sub_targets
+  Digraph_ref.ancestors sub.G.Digraph.graph sub_targets
   |> List.map (G.Digraph.sub_to_parent sub)
   |> List.sort compare
 

@@ -483,14 +483,14 @@ let prop_masked_ancestors =
       let targets = List.filteri (fun i _ -> i mod 3 = 0) alive_nodes in
       let masked = Traverse.ancestors_csr ~rev ~alive targets in
       let reference =
-        Traverse.ancestors sub.Digraph.graph
+        Rca_oracle.Digraph_ref.ancestors sub.Digraph.graph
           (List.filter_map (Digraph.sub_of_parent sub) targets)
         |> List.map (Digraph.sub_to_parent sub)
         |> List.sort compare
       in
       masked = reference
       && Traverse.ancestors_csr ~rev ~alive:(Csr.full_mask csr) targets
-         = Traverse.ancestors g targets)
+         = Rca_oracle.Digraph_ref.ancestors g targets)
 
 let prop_masked_components =
   QCheck2.Test.make
@@ -503,14 +503,14 @@ let prop_masked_components =
       let sub = Digraph.induced_subgraph g alive_nodes in
       let masked = Components.weakly_connected_components_csr csr ~rev ~alive in
       let reference =
-        Components.weakly_connected_components sub.Digraph.graph
+        Rca_oracle.Digraph_ref.weakly_connected_components sub.Digraph.graph
         |> List.map (List.map (Digraph.sub_to_parent sub))
       in
       (* exact equality locks the discovery order (ascending smallest
          member) and the ascending order inside each component *)
       masked = reference
       && Components.weakly_connected_components_csr csr ~rev ~alive:(Csr.full_mask csr)
-         = Components.weakly_connected_components g)
+         = Rca_oracle.Digraph_ref.weakly_connected_components g)
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest

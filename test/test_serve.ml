@@ -459,7 +459,7 @@ let cache_roundtrip_and_invalidation () =
 
 (* --- forked daemon end to end ------------------------------------------------------- *)
 
-let with_daemon ?cache_path ?(workers = 1) f =
+let with_daemon_at ?cache_path ?(workers = 1) f =
   let snap = Lazy.force compiled in
   let dir = Filename.temp_file "rca_serve_test" "" in
   Sys.remove dir;
@@ -492,7 +492,9 @@ let with_daemon ?cache_path ?(workers = 1) f =
          if Sys.file_exists sock then Sys.remove sock;
          Unix.rmdir dir
        with Sys_error _ | Unix.Unix_error _ -> ()))
-    (fun () -> f conn)
+    (fun () -> f sock conn)
+
+let with_daemon ?cache_path ?workers f = with_daemon_at ?cache_path ?workers (fun _ conn -> f conn)
 
 let reply conn fields =
   match Client.request conn (J.Obj fields) with
@@ -573,6 +575,66 @@ let daemon_survives_garbage () =
         (match Option.bind (J.member "errors" stats) J.int_opt with
         | Some e -> e = 10
         | None -> false))
+
+(* A client that never sends a newline: past [Server.max_line_bytes]
+   it gets one error reply and its connection is closed, while other
+   clients keep being served. *)
+let daemon_caps_request_line () =
+  with_daemon_at (fun sock conn ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+      Fun.protect
+        ~finally:(fun () ->
+          Sys.set_signal Sys.sigpipe sigpipe;
+          try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          Unix.connect fd (Unix.ADDR_UNIX sock);
+          (* a daemon that neither replies nor closes fails the test
+             instead of hanging it *)
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+          Unix.setsockopt_float fd Unix.SO_SNDTIMEO 10.0;
+          let chunk = Bytes.make 65536 'x' in
+          (* the daemon stops reading at the cap and closes after its
+             reply, so the writer ends on EPIPE/ECONNRESET, not after 4 MiB *)
+          let rec send left =
+            if left > 0 then
+              match Unix.write fd chunk 0 (min left (Bytes.length chunk)) with
+              | k -> send (left - k)
+              | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
+              | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+                  Alcotest.fail "daemon stopped reading without closing"
+          in
+          send (4 lsl 20);
+          let got = Buffer.create 256 in
+          let b = Bytes.create 4096 in
+          let rec recv () =
+            match Unix.read fd b 0 (Bytes.length b) with
+            | 0 -> ()
+            | k ->
+                Buffer.add_subbytes got b 0 k;
+                recv ()
+            | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()
+            | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+                Alcotest.fail "no reply to an oversized line"
+          in
+          recv ();
+          match String.split_on_char '\n' (Buffer.contents got) with
+          | [ line; "" ] -> (
+              match J.of_string line with
+              | Ok r ->
+                  check_bool "oversized line -> error reply" true (status r = Some "error");
+                  Alcotest.(check (option string))
+                    "error names the cap"
+                    (Some (Printf.sprintf "request line exceeds %d bytes" Server.max_line_bytes))
+                    (Option.bind (J.member "error" r) J.string_opt)
+              | Error msg -> Alcotest.failf "unparseable reply %S: %s" line msg)
+          | _ -> Alcotest.failf "expected one reply line, got %S" (Buffer.contents got));
+      let ping = reply conn [ ("op", J.Str "ping"); ("id", J.num 1) ] in
+      check_bool "second client still served" true (status ping = Some "ok");
+      let stats = reply conn [ ("op", J.Str "stats") ] in
+      Alcotest.(check (option int))
+        "one error counted" (Some 1)
+        (Option.bind (J.member "errors" stats) J.int_opt))
 
 let strip_reply r =
   match r with
@@ -804,6 +866,7 @@ let () =
         [
           Alcotest.test_case "query and cache" `Quick daemon_query_and_cache;
           Alcotest.test_case "survives garbage" `Quick daemon_survives_garbage;
+          Alcotest.test_case "caps request line" `Quick daemon_caps_request_line;
           Alcotest.test_case "concurrent out-of-order" `Quick daemon_concurrent_out_of_order;
           Alcotest.test_case "in-flight coalescing" `Quick daemon_inflight_coalescing;
           Alcotest.test_case "warm restart" `Quick daemon_warm_restart;
