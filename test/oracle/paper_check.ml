@@ -13,6 +13,12 @@
    small and at paper scale, and the greedy partition of the paper-scale
    Fig 10/11 slice must keep a modularity of at least 0.30.
 
+   Front end.  The paper-scale metagraph of the clean, coverage-filtered
+   model and its [rca_main lint --scale paper --strict-types] report
+   (oracle summary included) must match their pinned md5 digests: name
+   resolution may be restructured, but no node, edge, symbol or finding
+   may move.
+
    Exits 1 on any failed check.
 
      dune exec test/oracle/paper_check.exe *)
@@ -103,9 +109,27 @@ let check_detectors () =
   report "greedy modularity, paper" (q >= floor)
     (Printf.sprintf "Q %.4f (floor %.2f) on the %d-node slice" q floor (G.Digraph.n g))
 
+let check_front_end () =
+  let fixture = Fixture.make Config.paper in
+  let mg = fixture.Fixture.mg in
+  let digest = Rca_oracle.Front_digest.metagraph mg in
+  let pinned = "49260969057c78c5fc179e1bc8efb9e1" in
+  report "metagraph digest, paper" (digest = pinned)
+    (Printf.sprintf "%s (%d nodes, %d edges)" digest (G.Digraph.n mg.Rca_metagraph.Metagraph.graph)
+       (G.Digraph.m mg.Rca_metagraph.Metagraph.graph));
+  let module A = Rca_analysis.Analysis in
+  let an = A.analyze ~strict_types:true fixture.Fixture.covered_program in
+  let oracle = A.check_oracle an mg in
+  let digest = Rca_oracle.Front_digest.string (A.report_json ~oracle an) in
+  let pinned = "cdd88f8e88a901db25f076c715aeb161" in
+  report "strict lint report, paper" (digest = pinned)
+    (Printf.sprintf "%s (%d diagnostics, %d symbols)" digest (List.length an.A.diags)
+       (Rca_analysis.Resolve.n_symbols an.A.resolution))
+
 let () =
   check_interpreter ();
   check_detectors ();
+  check_front_end ();
   if !failures > 0 then begin
     Printf.printf "%d paper-scale check(s) failed\n" !failures;
     exit 1

@@ -316,6 +316,23 @@ let static_prune_observationally_safe () =
   check_bool "bugs located" base.Harness.bugs_located pruned.Harness.bugs_located;
   check_bool "analysis attached when pruning" true (pruned.Harness.analysis <> None)
 
+(* --- pinned front-end digests ---------------------------------------------------------- *)
+
+(* The metagraph, the oracle-checked lint report and the resolver's
+   signature of the clean, coverage-filtered model, pinned byte for byte:
+   name resolution may be restructured, but no node, edge, symbol or
+   finding may move. *)
+let pinned_front_end config ~metagraph ~report ~signature () =
+  let fixture = Rca_experiments.Fixture.make config in
+  let mg = fixture.Rca_experiments.Fixture.mg in
+  let an = A.analyze fixture.Rca_experiments.Fixture.covered_program in
+  let oracle = A.check_oracle an mg in
+  let module P = Rca_oracle.Front_digest in
+  Alcotest.(check string) "metagraph digest" metagraph (P.metagraph mg);
+  Alcotest.(check string) "report digest" report (P.string (A.report_json ~oracle an));
+  Alcotest.(check string) "signature digest" signature
+    (P.signature (Rca_analysis.Resolve.signature an.A.resolution))
+
 (* --- report ------------------------------------------------------------------------ *)
 
 let contains_substring hay needle =
@@ -567,6 +584,17 @@ let () =
         ] );
       ( "report",
         [ Alcotest.test_case "json stable" `Quick json_report_is_stable ] );
+      ( "pinned",
+        [
+          Alcotest.test_case "front end, tiny" `Quick
+            (pinned_front_end Rca_synth.Config.tiny ~metagraph:"5091fc93c3ff053d9464b8e2a106370e"
+               ~report:"49985dc5621b92943d89c08522f6066d"
+               ~signature:"101b143a86a31e390d676ed46ba0a2b0");
+          Alcotest.test_case "front end, small" `Quick
+            (pinned_front_end Rca_synth.Config.small ~metagraph:"3d4af9eedbf55c0650c5ca3cd74e6696"
+               ~report:"be4f83e5b2bad27d53f8866d336c78a3"
+               ~signature:"28269fe3778473664284c3819448dbfd");
+        ] );
       ( "resolver",
         [
           Alcotest.test_case "dummy arg shadows module var" `Quick
