@@ -5,18 +5,17 @@
    arguments, locals, function results, subprograms, derived types and
    their fields — receives one global symbol with def-site provenance
    (file, line) and a declared type (base type + array rank from
-   [d_dims]).  Name visibility reproduces the metagraph builder's rules
-   exactly: subprogram scope (formals, declared locals, the
+   [d_dims]).  Subprogram scope (formals, declared locals, the
    function-result name — which for a subroutine is the subprogram's own
-   name) hides module scope; module scope holds the module's own
-   variables plus use-associated imports honouring [only] lists and
-   [local => remote] renames, with no transitive chaining; callables are
-   the module's own subprograms, named interfaces, and imported ones.
-   Names that resolve nowhere fall back to Fortran implicit typing
-   (first letter i..n integer, otherwise real) and are interned as
-   [Simplicit] symbols scoped to the referencing subprogram — the
-   resolver walks every statement up front so the implicit population is
-   complete and deterministic after [program] returns.
+   name) hides module scope; module scope and callables are read from
+   {!Visibility}, the table the metagraph builder reads too, so an
+   imported name maps to the owner's symbol exactly where the builder
+   maps it to the owner's node.  Names that resolve nowhere fall back to
+   Fortran implicit typing (first letter i..n integer, otherwise real)
+   and are interned as [Simplicit] symbols scoped to the referencing
+   subprogram — the resolver walks every statement up front so the
+   implicit population is complete and deterministic after [program]
+   returns.
 
    {!Scope}, {!Defuse} and {!Oracle} are rebased on this table: each
    dataflow variable carries its symbol id, and the differential oracle
@@ -90,13 +89,6 @@ let kind_str = function
 
 (* ---- scopes -------------------------------------------------------------------- *)
 
-type mscope = {
-  rm_file : string;
-  rm_vars : (string, int) Hashtbl.t;  (* visible name -> symbol (own + imports) *)
-  rm_subs : (string, (string * string) list) Hashtbl.t;
-      (* visible name -> candidate (module, subprogram) keys *)
-}
-
 type sscope = {
   rs_vars : (string, int) Hashtbl.t;  (* formals, locals, result *)
   rs_implicits : (string, int) Hashtbl.t;
@@ -105,7 +97,10 @@ type sscope = {
 type t = {
   mutable syms : symbol array;
   mutable n_syms : int;
-  r_modules : (string, mscope) Hashtbl.t;
+  r_vis : Visibility.t;
+  r_files : (string, string) Hashtbl.t;  (* module -> source file *)
+  r_module_vars : (string * string, int) Hashtbl.t;
+      (* (owning module, name) -> module-variable symbol *)
   r_subscopes : (string * string, sscope) Hashtbl.t;
   r_sub_syms : (string * string, int) Hashtbl.t;
   r_types : (string, int) Hashtbl.t;  (* type name -> symbol, first definition wins *)
@@ -155,9 +150,9 @@ let add_sym t ~name ~module_ ~sub ~file ~line ~kind ~ty =
 (* ---- lookups ------------------------------------------------------------------- *)
 
 let module_var t ~module_ name =
-  match Hashtbl.find_opt t.r_modules module_ with
+  match Visibility.var (Visibility.scope t.r_vis module_) name with
   | None -> None
-  | Some ms -> Option.map (symbol t) (Hashtbl.find_opt ms.rm_vars name)
+  | Some owned -> Option.map (symbol t) (Hashtbl.find_opt t.r_module_vars owned)
 
 let lookup_local t ~module_ ~sub name =
   match Hashtbl.find_opt t.r_subscopes (module_, sub) with
@@ -172,10 +167,7 @@ let lookup_var t ~module_ ~sub name =
   | Some s -> Some s
   | None -> module_var t ~module_ name
 
-let callables t ~module_ name =
-  match Hashtbl.find_opt t.r_modules module_ with
-  | None -> []
-  | Some ms -> Option.value ~default:[] (Hashtbl.find_opt ms.rm_subs name)
+let visibility t = t.r_vis
 
 let sub_symbol t ~module_ name =
   Option.map (symbol t) (Hashtbl.find_opt t.r_sub_syms (module_, name))
@@ -192,8 +184,8 @@ let sub_scope_exn t ~module_ ~sub =
       invalid_arg (Printf.sprintf "Resolve: unknown subprogram %s/%s" module_ sub)
 
 let file_of_module t module_ =
-  match Hashtbl.find_opt t.r_modules module_ with
-  | Some ms -> ms.rm_file
+  match Hashtbl.find_opt t.r_files module_ with
+  | Some file -> file
   | None -> module_ ^ ".F90"
 
 (* Intern (or fetch) an implicitly-typed symbol for an undeclared name in
@@ -243,8 +235,6 @@ let implicits_of_sub t ~module_ ~sub =
 
 (* ---- construction --------------------------------------------------------------- *)
 
-let is_intrinsic = Rca_metagraph.Metagraph.is_intrinsic
-
 let program (prog : Ast.program) : t =
   let t =
     {
@@ -254,21 +244,22 @@ let program (prog : Ast.program) : t =
             sym_line = 0; sym_kind = Simplicit; sym_ty = None;
           };
       n_syms = 0;
-      r_modules = Hashtbl.create 64;
+      r_vis = Visibility.of_program prog;
+      r_files = Hashtbl.create 64;
+      r_module_vars = Hashtbl.create 256;
       r_subscopes = Hashtbl.create 256;
       r_sub_syms = Hashtbl.create 256;
       r_types = Hashtbl.create 32;
       r_fields = Hashtbl.create 128;
     }
   in
-  (* pass 1: every module's own names — types, fields, variables,
-     subprograms, named interfaces *)
+  (* pass 1: every module's own symbols — types, fields, variables,
+     subprograms; a later module of the same name takes over its keys,
+     as it does in the visibility table *)
   List.iter
     (fun (mu : Ast.module_unit) ->
       let file = mu.Ast.m_file in
-      let ms =
-        { rm_file = file; rm_vars = Hashtbl.create 32; rm_subs = Hashtbl.create 16 }
-      in
+      Hashtbl.replace t.r_files mu.Ast.m_name file;
       List.iter
         (fun (td : Ast.derived_type_def) ->
           if not (Hashtbl.mem t.r_types td.Ast.t_name) then begin
@@ -297,7 +288,7 @@ let program (prog : Ast.program) : t =
               ~kind:(Smodule_var { owner = mu.Ast.m_name; param = d.Ast.d_param })
               ~ty:(Some (ty_of_decl d))
           in
-          Hashtbl.replace ms.rm_vars d.Ast.d_name s.sym_id)
+          Hashtbl.replace t.r_module_vars (mu.Ast.m_name, d.Ast.d_name) s.sym_id)
         mu.Ast.m_decls;
       List.iter
         (fun (s : Ast.subprogram) ->
@@ -305,79 +296,10 @@ let program (prog : Ast.program) : t =
             add_sym t ~name:s.Ast.s_name ~module_:mu.Ast.m_name ~sub:"" ~file
               ~line:s.Ast.s_line ~kind:(Ssubprogram s.Ast.s_kind) ~ty:None
           in
-          Hashtbl.replace t.r_sub_syms (mu.Ast.m_name, s.Ast.s_name) sym.sym_id;
-          let cur = Option.value ~default:[] (Hashtbl.find_opt ms.rm_subs s.Ast.s_name) in
-          Hashtbl.replace ms.rm_subs s.Ast.s_name (cur @ [ (mu.Ast.m_name, s.Ast.s_name) ]))
-        mu.Ast.m_subprograms;
-      List.iter
-        (fun (i : Ast.interface_def) ->
-          if i.Ast.i_name <> "" then begin
-            let cands =
-              List.filter_map
-                (fun p ->
-                  Option.map
-                    (fun (_ : Ast.subprogram) -> (mu.Ast.m_name, p))
-                    (Ast.find_subprogram mu p))
-                i.Ast.i_procedures
-            in
-            if cands <> [] then Hashtbl.replace ms.rm_subs i.Ast.i_name cands
-          end)
-        mu.Ast.m_interfaces;
-      Hashtbl.replace t.r_modules mu.Ast.m_name ms)
+          Hashtbl.replace t.r_sub_syms (mu.Ast.m_name, s.Ast.s_name) sym.sym_id)
+        mu.Ast.m_subprograms)
     prog;
-  (* pass 2: use-association — only names the source module itself owns
-     (no chained imports), honouring only-lists and renames *)
-  List.iter
-    (fun (mu : Ast.module_unit) ->
-      match Hashtbl.find_opt t.r_modules mu.Ast.m_name with
-      | None -> ()
-      | Some ms ->
-          List.iter
-            (fun (u : Ast.use_stmt) ->
-              match Hashtbl.find_opt t.r_modules u.Ast.u_module with
-              | None -> ()
-              | Some src ->
-                  let import_var local remote =
-                    match Hashtbl.find_opt src.rm_vars remote with
-                    | Some id
-                      when (match (symbol t id).sym_kind with
-                           | Smodule_var { owner; _ } -> owner = u.Ast.u_module
-                           | _ -> false) ->
-                        Hashtbl.replace ms.rm_vars local id
-                    | _ -> ()
-                  in
-                  let import_sub local remote =
-                    match Hashtbl.find_opt src.rm_subs remote with
-                    | Some cands ->
-                        let owned = List.filter (fun (m, _) -> m = u.Ast.u_module) cands in
-                        if owned <> [] then Hashtbl.replace ms.rm_subs local owned
-                    | None -> ()
-                  in
-                  (match u.Ast.u_only with
-                  | Some pairs ->
-                      List.iter
-                        (fun (local, remote) ->
-                          import_var local remote;
-                          import_sub local remote)
-                        pairs
-                  | None -> (
-                      match Ast.find_module prog u.Ast.u_module with
-                      | None -> ()
-                      | Some smu ->
-                          List.iter
-                            (fun (d : Ast.decl) -> import_var d.Ast.d_name d.Ast.d_name)
-                            smu.Ast.m_decls;
-                          List.iter
-                            (fun (s : Ast.subprogram) ->
-                              import_sub s.Ast.s_name s.Ast.s_name)
-                            smu.Ast.m_subprograms;
-                          List.iter
-                            (fun (i : Ast.interface_def) ->
-                              if i.Ast.i_name <> "" then import_sub i.Ast.i_name i.Ast.i_name)
-                            smu.Ast.m_interfaces)))
-            mu.Ast.m_uses)
-    prog;
-  (* pass 3: subprogram scopes — formals (with intent), declared locals,
+  (* pass 2: subprogram scopes — formals (with intent), declared locals,
      and the result name (for a subroutine, the subprogram's own name:
      the metagraph builder seeds its locals that way and the oracle must
      reproduce it) *)
@@ -436,7 +358,7 @@ let program (prog : Ast.program) : t =
           Hashtbl.replace t.r_subscopes (mu.Ast.m_name, s.Ast.s_name) ss)
         mu.Ast.m_subprograms)
     prog;
-  (* pass 4: occurrence walk.  Mirrors Defuse's resolution priority so
+  (* pass 3: occurrence walk.  Mirrors Defuse's resolution priority so
      every implicitly-typed name is interned deterministically up front:
      plain names resolve variable-first; indexed names check variables,
      then callables, then intrinsics, then fall to implicit; member
@@ -444,6 +366,7 @@ let program (prog : Ast.program) : t =
   List.iter
     (fun (mu : Ast.module_unit) ->
       let module_ = mu.Ast.m_name in
+      let scope = Visibility.scope t.r_vis module_ in
       List.iter
         (fun (s : Ast.subprogram) ->
           let sub = s.Ast.s_name in
@@ -470,8 +393,8 @@ let program (prog : Ast.program) : t =
                      ~base:(Ast.designator_base base) field)
             | Ast.Dindex (Ast.Dname n, args) ->
                 (if lookup_var t ~module_ ~sub n <> None then resolve_name line n
-                 else if callables t ~module_ n <> [] then ()
-                 else if is_intrinsic n then ()
+                 else if Visibility.callables scope n <> [] then ()
+                 else if Visibility.is_intrinsic n then ()
                  else resolve_name line n);
                 List.iter (walk_expr line) args
             | Ast.Dindex (base, args) ->

@@ -4,17 +4,17 @@
    Every declared entity of the program — module variables, dummy
    arguments, locals, function results, subprograms, derived types and
    their fields — receives one global symbol with def-site provenance
-   (file, line) and a declared type (base type + array rank).  Name
-   visibility reproduces the metagraph builder's rules exactly:
-   subprogram scope (formals, declared locals, the function-result name —
+   (file, line) and a declared type (base type + array rank).
+   Subprogram scope (formals, declared locals, the function-result name —
    which for a subroutine is the subprogram's own name) hides module
-   scope; module scope holds the module's own variables plus
-   use-associated imports honouring [only] lists and [local => remote]
-   renames, with no transitive chaining.  Names that resolve nowhere fall
-   back to Fortran implicit typing (first letter i..n integer, otherwise
-   real) and are interned as [Simplicit] symbols scoped to the
-   referencing subprogram; [program] pre-walks every statement so the
-   implicit population is complete and deterministic on return. *)
+   scope; module scope is {!Visibility}'s table, the one the
+   metagraph builder reads, so every visible name maps to the symbol of
+   the declaration whose node the builder uses.  Names that resolve
+   nowhere fall back to Fortran implicit typing (first letter i..n
+   integer, otherwise real) and are interned as [Simplicit] symbols
+   scoped to the referencing subprogram; [program] pre-walks every
+   statement so the implicit population is complete and deterministic
+   on return. *)
 
 open Rca_fortran
 
@@ -57,8 +57,8 @@ val kind_str : symbol_kind -> string
 
 type t
 
-(* Build the symbol table for a whole program (four passes: module own
-   names, use-association, subprogram scopes, occurrence pre-walk). *)
+(* Build the symbol table for a whole program (three passes: module own
+   symbols, subprogram scopes, occurrence pre-walk). *)
 val program : Ast.program -> t
 
 val n_symbols : t -> int
@@ -81,8 +81,8 @@ val lookup_local : t -> module_:string -> sub:string -> string -> symbol option
    NOT count: this is the metagraph builder's [is_variable]. *)
 val lookup_var : t -> module_:string -> sub:string -> string -> symbol option
 
-(* Candidate (module, subprogram) keys a callable name resolves to. *)
-val callables : t -> module_:string -> string -> (string * string) list
+(* The name-visibility table the resolver was built on. *)
+val visibility : t -> Visibility.t
 
 val sub_symbol : t -> module_:string -> string -> symbol option
 val type_symbol : t -> string -> symbol option

@@ -4,9 +4,9 @@
    the symbol id of the declaration it refers to, so shadowing, renames
    and implicit typing are decided once, in the resolver, and the
    bitvector dataflow / diagnostics / oracle layers all agree on what a
-   name means.  This module keeps what the dataflow pass needs on top of
-   the symbol table: per-module callable candidates (own subprograms,
-   named interfaces, use-imports), syntactic read/write summaries per
+   name means.  Callable candidates come from {!Visibility}, the table
+   the resolver and the metagraph builder share.  This module keeps what
+   the dataflow pass needs on top: syntactic read/write summaries per
    formal, and the per-subprogram dense variable ids the bitvectors run
    on. *)
 
@@ -14,88 +14,11 @@ open Rca_fortran
 
 (* ---- program-level scopes -------------------------------------------------- *)
 
-type callable = { c_module : string; c_sub : Ast.subprogram }
-
-type module_scope = {
-  ms_unit : Ast.module_unit;
-  (* local name -> candidate procedures (own, imported, named interfaces) *)
-  ms_subs : (string, callable list) Hashtbl.t;
-}
-
-type program_scope = {
-  by_module : (string, module_scope) Hashtbl.t;
-  prog : Ast.program;
-  ps_res : Resolve.t;
-}
+type program_scope = { prog : Ast.program; ps_res : Resolve.t }
 
 let of_program ?resolution (prog : Ast.program) : program_scope =
-  let ps_res =
-    match resolution with Some r -> r | None -> Resolve.program prog
-  in
-  let by_module = Hashtbl.create 64 in
-  (* pass 1: callables each module owns *)
-  List.iter
-    (fun (mu : Ast.module_unit) ->
-      let ms = { ms_unit = mu; ms_subs = Hashtbl.create 16 } in
-      List.iter
-        (fun (s : Ast.subprogram) ->
-          let c = { c_module = mu.Ast.m_name; c_sub = s } in
-          let cur = Option.value ~default:[] (Hashtbl.find_opt ms.ms_subs s.Ast.s_name) in
-          Hashtbl.replace ms.ms_subs s.Ast.s_name (cur @ [ c ]))
-        mu.Ast.m_subprograms;
-      List.iter
-        (fun (i : Ast.interface_def) ->
-          if i.Ast.i_name <> "" then begin
-            let cands =
-              List.filter_map
-                (fun p ->
-                  Option.map
-                    (fun s -> { c_module = mu.Ast.m_name; c_sub = s })
-                    (Ast.find_subprogram mu p))
-                i.Ast.i_procedures
-            in
-            if cands <> [] then Hashtbl.replace ms.ms_subs i.Ast.i_name cands
-          end)
-        mu.Ast.m_interfaces;
-      Hashtbl.replace by_module mu.Ast.m_name ms)
-    prog;
-  (* pass 2: imported callables; only those the source module itself owns
-     (no chains) *)
-  List.iter
-    (fun (mu : Ast.module_unit) ->
-      match Hashtbl.find_opt by_module mu.Ast.m_name with
-      | None -> ()
-      | Some ms ->
-          List.iter
-            (fun (u : Ast.use_stmt) ->
-              match Hashtbl.find_opt by_module u.Ast.u_module with
-              | None -> ()
-              | Some src ->
-                  let import_sub local remote =
-                    match Hashtbl.find_opt src.ms_subs remote with
-                    | Some cands ->
-                        let owned =
-                          List.filter (fun c -> c.c_module = u.Ast.u_module) cands
-                        in
-                        if owned <> [] then Hashtbl.replace ms.ms_subs local owned
-                    | None -> ()
-                  in
-                  (match u.Ast.u_only with
-                  | Some pairs ->
-                      List.iter (fun (local, remote) -> import_sub local remote) pairs
-                  | None ->
-                      List.iter
-                        (fun (s : Ast.subprogram) -> import_sub s.Ast.s_name s.Ast.s_name)
-                        src.ms_unit.Ast.m_subprograms;
-                      List.iter
-                        (fun (i : Ast.interface_def) ->
-                          if i.Ast.i_name <> "" then import_sub i.Ast.i_name i.Ast.i_name)
-                        src.ms_unit.Ast.m_interfaces))
-            mu.Ast.m_uses)
-    prog;
-  { by_module; prog; ps_res }
+  { prog; ps_res = (match resolution with Some r -> r | None -> Resolve.program prog) }
 
-let module_scope ps name = Hashtbl.find_opt ps.by_module name
 let resolution ps = ps.ps_res
 
 (* ---- interprocedural summaries --------------------------------------------- *)
@@ -108,18 +31,13 @@ type formal_summary = { fs_reads : bool; fs_writes : bool }
 
 type summaries = (string * string, (string, formal_summary) Hashtbl.t) Hashtbl.t
 
-let sub_key (c : callable) = (c.c_module, c.c_sub.Ast.s_name)
+let sub_key (c : Visibility.callable) = (c.c_module, c.c_sub.Ast.s_name)
 
 let compute_summaries (ps : program_scope) : summaries =
   let out : summaries = Hashtbl.create 128 in
   List.iter
     (fun (mu : Ast.module_unit) ->
-      let ms =
-        match Hashtbl.find_opt ps.by_module mu.Ast.m_name with
-        | Some ms -> ms
-        | None ->
-            invalid_arg ("Scope.compute_summaries: unknown module " ^ mu.Ast.m_name)
-      in
+      let vis = Visibility.scope (Resolve.visibility ps.ps_res) mu.Ast.m_name in
       List.iter
         (fun (s : Ast.subprogram) ->
           let formals = Hashtbl.create 8 in
@@ -136,8 +54,10 @@ let compute_summaries (ps : program_scope) : summaries =
             | Some fs -> Hashtbl.replace formals n { fs with fs_writes = true }
             | None -> ()
           in
-          let intent_of_formal (c : callable) formal =
-            List.find_opt (fun (d : Ast.decl) -> d.Ast.d_name = formal) c.c_sub.Ast.s_decls
+          let intent_of_formal (c : Visibility.callable) formal =
+            List.find_opt
+              (fun (d : Ast.decl) -> d.Ast.d_name = formal)
+              c.c_sub.Ast.s_decls
             |> Option.map (fun d -> d.Ast.d_intent)
             |> Option.join
           in
@@ -160,9 +80,7 @@ let compute_summaries (ps : program_scope) : summaries =
             | Ast.Dmember (d, _) -> desig_reads d
           in
           let call_effects name args =
-            let cands =
-              Option.value ~default:[] (Hashtbl.find_opt ms.ms_subs name)
-            in
+            let cands = Visibility.callables vis name in
             if cands = [] then
               (* unknown procedure: assume it both reads and writes *)
               List.iter
@@ -174,7 +92,7 @@ let compute_summaries (ps : program_scope) : summaries =
                 args
             else
               List.iter
-                (fun c ->
+                (fun (c : Visibility.callable) ->
                   List.iteri
                     (fun i formal ->
                       match List.nth_opt args i with
@@ -234,7 +152,7 @@ let compute_summaries (ps : program_scope) : summaries =
     ps.prog;
   out
 
-let formal_summary (sums : summaries) (c : callable) formal =
+let formal_summary (sums : summaries) (c : Visibility.callable) formal =
   match Hashtbl.find_opt sums (sub_key c) with
   | None -> None
   | Some tbl -> Hashtbl.find_opt tbl formal
@@ -261,7 +179,7 @@ type var = {
 type sub_scope = {
   ss_module : string;
   ss_sub : Ast.subprogram;
-  ss_ms : module_scope;
+  ss_vis : Visibility.scope;  (* the module's visible callables *)
   ss_ps : program_scope;
   ss_sums : summaries;
   by_name : (string, var) Hashtbl.t;
@@ -333,16 +251,11 @@ let intern ss name kind line =
 
 let of_subprogram (ps : program_scope) (sums : summaries) ~module_:mname
     (s : Ast.subprogram) : sub_scope =
-  let ms =
-    match Hashtbl.find_opt ps.by_module mname with
-    | Some ms -> ms
-    | None -> invalid_arg ("Scope.of_subprogram: unknown module " ^ mname)
-  in
   let ss =
     {
       ss_module = mname;
       ss_sub = s;
-      ss_ms = ms;
+      ss_vis = Visibility.scope (Resolve.visibility ps.ps_res) mname;
       ss_ps = ps;
       ss_sums = sums;
       by_name = Hashtbl.create 32;
@@ -422,10 +335,7 @@ let is_metagraph_variable ss name =
         for a subroutine is the subprogram's own name — mirror that *)
   || Resolve.module_var ss.ss_ps.ps_res ~module_:ss.ss_module name <> None
 
-let callables ss name =
-  Option.value ~default:[] (Hashtbl.find_opt ss.ss_ms.ms_subs name)
-
-let is_intrinsic = Rca_metagraph.Metagraph.is_intrinsic
+let callables ss name = Visibility.callables ss.ss_vis name
 
 (* Does the variable's value survive the subprogram (so a final definition
    is never dead)?  Module variables, out/inout formals, the function

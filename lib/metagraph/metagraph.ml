@@ -74,115 +74,6 @@ let node_key ~module_ ~sub ~name = module_ ^ "|" ^ sub ^ "|" ^ name
 let find_node t ~module_ ~sub ~name =
   Hashtbl.find_opt t.by_key (node_key ~module_ ~sub ~name)
 
-(* ---- module environments -------------------------------------------------- *)
-
-type callable = { c_module : string; c_sub : Ast.subprogram }
-
-type module_env = {
-  mu : Ast.module_unit;
-  (* local name -> (defining module, defining name) for module variables *)
-  var_scope : (string, string * string) Hashtbl.t;
-  (* local name -> candidate procedures (own, imported, interfaces) *)
-  sub_scope : (string, callable list) Hashtbl.t;
-}
-
-let intrinsic_names =
-  [
-    "abs"; "sqrt"; "exp"; "log"; "log10"; "min"; "max"; "mod"; "sign"; "sin"; "cos";
-    "tan"; "tanh"; "sum"; "maxval"; "minval"; "size"; "real"; "int"; "floor"; "nint";
-    "epsilon"; "tiny"; "huge"; "merge"; "dble";
-  ]
-
-let is_intrinsic name = List.mem name intrinsic_names
-
-let build_envs (prog : Ast.program) =
-  let by_name = Hashtbl.create 64 in
-  List.iter (fun m -> Hashtbl.replace by_name m.Ast.m_name m) prog;
-  let envs = Hashtbl.create 64 in
-  (* pass 1: own names *)
-  List.iter
-    (fun (mu : Ast.module_unit) ->
-      let env =
-        { mu; var_scope = Hashtbl.create 32; sub_scope = Hashtbl.create 16 }
-      in
-      List.iter
-        (fun (d : Ast.decl) ->
-          Hashtbl.replace env.var_scope d.Ast.d_name (mu.Ast.m_name, d.Ast.d_name))
-        mu.Ast.m_decls;
-      List.iter
-        (fun (s : Ast.subprogram) ->
-          let c = { c_module = mu.Ast.m_name; c_sub = s } in
-          let cur = Option.value ~default:[] (Hashtbl.find_opt env.sub_scope s.Ast.s_name) in
-          Hashtbl.replace env.sub_scope s.Ast.s_name (cur @ [ c ]))
-        mu.Ast.m_subprograms;
-      List.iter
-        (fun (i : Ast.interface_def) ->
-          if i.Ast.i_name <> "" then begin
-            let cands =
-              List.filter_map
-                (fun p ->
-                  Option.map
-                    (fun s -> { c_module = mu.Ast.m_name; c_sub = s })
-                    (Ast.find_subprogram mu p))
-                i.Ast.i_procedures
-            in
-            if cands <> [] then Hashtbl.replace env.sub_scope i.Ast.i_name cands
-          end)
-        mu.Ast.m_interfaces;
-      Hashtbl.replace envs mu.Ast.m_name env)
-    prog;
-  (* pass 2: imports (no chained use: only names the source module owns) *)
-  List.iter
-    (fun (mu : Ast.module_unit) ->
-      let env =
-        match Hashtbl.find_opt envs mu.Ast.m_name with
-        | Some env -> env
-        | None ->
-            (* pass 1 inserts every module; a miss means the program list
-               changed between passes — say so instead of Not_found *)
-            invalid_arg
-              ("Metagraph.build_envs: no scope environment for module " ^ mu.Ast.m_name)
-      in
-      List.iter
-        (fun (u : Ast.use_stmt) ->
-          match Hashtbl.find_opt envs u.Ast.u_module with
-          | None -> ()  (* module filtered away: tolerate, as the paper must *)
-          | Some src ->
-              let import_var local remote =
-                match Hashtbl.find_opt src.var_scope remote with
-                | Some ((srcm, _) as target) when srcm = u.Ast.u_module ->
-                    Hashtbl.replace env.var_scope local target
-                | _ -> ()
-              in
-              let import_sub local remote =
-                match Hashtbl.find_opt src.sub_scope remote with
-                | Some cands ->
-                    let owned = List.filter (fun c -> c.c_module = u.Ast.u_module) cands in
-                    if owned <> [] then Hashtbl.replace env.sub_scope local owned
-                | None -> ()
-              in
-              (match u.Ast.u_only with
-              | Some pairs ->
-                  List.iter
-                    (fun (local, remote) ->
-                      import_var local remote;
-                      import_sub local remote)
-                    pairs
-              | None ->
-                  List.iter
-                    (fun (d : Ast.decl) -> import_var d.Ast.d_name d.Ast.d_name)
-                    src.mu.Ast.m_decls;
-                  List.iter
-                    (fun (s : Ast.subprogram) -> import_sub s.Ast.s_name s.Ast.s_name)
-                    src.mu.Ast.m_subprograms;
-                  List.iter
-                    (fun (i : Ast.interface_def) ->
-                      if i.Ast.i_name <> "" then import_sub i.Ast.i_name i.Ast.i_name)
-                    src.mu.Ast.m_interfaces))
-        mu.Ast.m_uses)
-    prog;
-  envs
-
 (* ---- node store ------------------------------------------------------------ *)
 
 type builder = {
@@ -217,8 +108,8 @@ let get_node ?(synthetic = false) b ~module_ ~sub ~name ~canonical ~line =
 
 type sctx = {
   b : builder;
-  env : module_env;
-  envs : (string, module_env) Hashtbl.t;
+  module_ : string;
+  scope : Visibility.scope;  (* the module's visible variables and callables *)
   sub : string;  (* "" at module level *)
   locals : (string, unit) Hashtbl.t;
   mutable line : int;
@@ -228,41 +119,41 @@ type sctx = {
 let add_dep ctx src dst =
   Rca_graph.Digraph.add_edge ctx.b.graph src dst;
   let k = (src, dst) in
-  let origin = (ctx.env.mu.Ast.m_name, ctx.sub, ctx.line) in
+  let origin = (ctx.module_, ctx.sub, ctx.line) in
   let cur = Option.value ~default:[] (Hashtbl.find_opt ctx.b.origins k) in
   if not (List.mem origin cur) then Hashtbl.replace ctx.b.origins k (origin :: cur)
 
 let resolve_var ctx name =
   if Hashtbl.mem ctx.locals name then
-    get_node ctx.b ~module_:ctx.env.mu.Ast.m_name ~sub:ctx.sub ~name ~canonical:name
+    get_node ctx.b ~module_:ctx.module_ ~sub:ctx.sub ~name ~canonical:name
       ~line:ctx.line
   else
-    match Hashtbl.find_opt ctx.env.var_scope name with
+    match Visibility.var ctx.scope name with
     | Some (src_mod, src_name) ->
         get_node ctx.b ~module_:src_mod ~sub:"" ~name:src_name ~canonical:src_name
           ~line:ctx.line
     | None ->
         (* undeclared: treat as a local of the current scope *)
-        get_node ctx.b ~module_:ctx.env.mu.Ast.m_name ~sub:ctx.sub ~name ~canonical:name
+        get_node ctx.b ~module_:ctx.module_ ~sub:ctx.sub ~name ~canonical:name
           ~line:ctx.line
 
 (* Scope (module, sub) in which a derived-type component node should live:
    the scope of the base variable holding the instance. *)
 let member_node ctx base_name component =
   let module_, sub =
-    if Hashtbl.mem ctx.locals base_name then (ctx.env.mu.Ast.m_name, ctx.sub)
+    if Hashtbl.mem ctx.locals base_name then (ctx.module_, ctx.sub)
     else
-      match Hashtbl.find_opt ctx.env.var_scope base_name with
+      match Visibility.var ctx.scope base_name with
       | Some (src_mod, _) -> (src_mod, "")
-      | None -> (ctx.env.mu.Ast.m_name, ctx.sub)
+      | None -> (ctx.module_, ctx.sub)
   in
   get_node ctx.b ~module_ ~sub ~name:(base_name ^ "%" ^ component) ~canonical:component
     ~line:ctx.line
 
 let is_variable ctx name =
-  Hashtbl.mem ctx.locals name || Hashtbl.mem ctx.env.var_scope name
+  Hashtbl.mem ctx.locals name || Visibility.var ctx.scope name <> None
 
-let callables ctx name = Option.value ~default:[] (Hashtbl.find_opt ctx.env.sub_scope name)
+let callables ctx name = Visibility.callables ctx.scope name
 
 (* ---- expressions ----------------------------------------------------------------- *)
 
@@ -289,7 +180,7 @@ and desig_sources ctx (d : Ast.designator) : int list =
         (* array reference: indices are ignored (arrays are atomic) *)
         [ resolve_var ctx n ]
       else if callables ctx n <> [] then function_call_sources ctx n args
-      else if is_intrinsic n then intrinsic_sources ctx n args
+      else if Visibility.is_intrinsic n then intrinsic_sources ctx n args
       else [ resolve_var ctx n ]
   | Ast.Dindex (base, _args) ->
       (* indexed member chain, e.g. state%q(i,k): atomic member node *)
@@ -306,8 +197,8 @@ and desig_sources_base_indices _ctx _base = []
 and function_call_sources ctx name args : int list =
   let cands = callables ctx name in
   List.concat_map
-    (fun c ->
-      let formals = c.c_sub.Ast.s_args in
+    (fun { Visibility.c_module; c_sub } ->
+      let formals = c_sub.Ast.s_args in
       let n = min (List.length formals) (List.length args) in
       List.iteri
         (fun i formal ->
@@ -315,16 +206,16 @@ and function_call_sources ctx name args : int list =
             let actual = List.nth args i in
             let srcs = expr_sources ctx actual in
             let fnode =
-              get_node ctx.b ~module_:c.c_module ~sub:c.c_sub.Ast.s_name ~name:formal
+              get_node ctx.b ~module_:c_module ~sub:c_sub.Ast.s_name ~name:formal
                 ~canonical:formal ~line:ctx.line
             in
             List.iter (fun s -> add_dep ctx s fnode) srcs
           end)
         formals;
-      match c.c_sub.Ast.s_kind with
+      match c_sub.Ast.s_kind with
       | Ast.Function ->
-          let rname = Ast.function_result_name c.c_sub in
-          [ get_node ctx.b ~module_:c.c_module ~sub:c.c_sub.Ast.s_name ~name:rname
+          let rname = Ast.function_result_name c_sub in
+          [ get_node ctx.b ~module_:c_module ~sub:c_sub.Ast.s_name ~name:rname
               ~canonical:rname ~line:ctx.line ]
       | Ast.Subroutine -> [])
     cands
@@ -334,7 +225,7 @@ and function_call_sources ctx name args : int list =
 and intrinsic_sources ctx name args : int list =
   let node_name = Printf.sprintf "%s_%d" name ctx.line in
   let inode =
-    get_node ~synthetic:true ctx.b ~module_:ctx.env.mu.Ast.m_name ~sub:ctx.sub
+    get_node ~synthetic:true ctx.b ~module_:ctx.module_ ~sub:ctx.sub
       ~name:node_name ~canonical:node_name ~line:ctx.line
   in
   List.iter
@@ -410,7 +301,7 @@ let process_call ctx name args line =
       match args with
       | [ Ast.Edesig d ] ->
           let inode =
-            get_node ~synthetic:true ctx.b ~module_:ctx.env.mu.Ast.m_name ~sub:ctx.sub
+            get_node ~synthetic:true ctx.b ~module_:ctx.module_ ~sub:ctx.sub
               ~name:(Printf.sprintf "random_number_%d" line)
               ~canonical:(Printf.sprintf "random_number_%d" line)
               ~line
@@ -421,19 +312,19 @@ let process_call ctx name args line =
   | _ ->
       let cands = callables ctx name in
       List.iter
-        (fun c ->
-          let formals = c.c_sub.Ast.s_args in
+        (fun { Visibility.c_module; c_sub } ->
+          let formals = c_sub.Ast.s_args in
           let n = min (List.length formals) (List.length args) in
           List.iteri
             (fun i formal ->
               if i < n then begin
                 let actual = List.nth args i in
                 let fnode =
-                  get_node ctx.b ~module_:c.c_module ~sub:c.c_sub.Ast.s_name ~name:formal
+                  get_node ctx.b ~module_:c_module ~sub:c_sub.Ast.s_name ~name:formal
                     ~canonical:formal ~line:ctx.line
                 in
                 let intent =
-                  List.find_opt (fun dd -> dd.Ast.d_name = formal) c.c_sub.Ast.s_decls
+                  List.find_opt (fun dd -> dd.Ast.d_name = formal) c_sub.Ast.s_decls
                   |> Option.map (fun dd -> dd.Ast.d_intent)
                   |> Option.join
                 in
@@ -500,7 +391,7 @@ let rec process_stmt ctx (st : Ast.stmt) =
 (* ---- build -------------------------------------------------------------------------- *)
 
 let build (prog : Ast.program) : t =
-  let envs = build_envs prog in
+  let vis = Visibility.of_program prog in
   let b =
     {
       graph = Rca_graph.Digraph.create ~size_hint:1024 ();
@@ -521,20 +412,15 @@ let build (prog : Ast.program) : t =
   in
   List.iter
     (fun (mu : Ast.module_unit) ->
-      let env =
-        match Hashtbl.find_opt envs mu.Ast.m_name with
-        | Some env -> env
-        | None ->
-            invalid_arg
-              ("Metagraph.build: no scope environment for module " ^ mu.Ast.m_name)
-      in
+      let module_ = mu.Ast.m_name in
+      let scope = Visibility.scope vis module_ in
       List.iter
         (fun (s : Ast.subprogram) ->
           let locals = Hashtbl.create 32 in
           List.iter (fun a -> Hashtbl.replace locals a ()) s.Ast.s_args;
           List.iter (fun (d : Ast.decl) -> Hashtbl.replace locals d.Ast.d_name ()) s.Ast.s_decls;
           Hashtbl.replace locals (Ast.function_result_name s) ();
-          let ctx = { b; env; envs; sub = s.Ast.s_name; locals; line = s.Ast.s_line } in
+          let ctx = { b; module_; scope; sub = s.Ast.s_name; locals; line = s.Ast.s_line } in
           List.iter (process_stmt ctx) s.Ast.s_body)
         mu.Ast.m_subprograms)
     prog;

@@ -460,6 +460,49 @@ let resolver_signature_roundtrip () =
   check_int "symbol population preserved" (List.length sig1) (List.length sig2);
   check_bool "identical structural signature" true (sig1 = sig2)
 
+(* Two modules named [dup]: the last one registered owns the name, and the
+   use statements see only its declarations.  The resolver must agree
+   with the metagraph builder on every visible name, so each assignment
+   below maps to an edge between the nodes its symbols name. *)
+let resolver_duplicate_module_agrees () =
+  let prog =
+    parse
+      "module dup\nreal(r8) :: a, shared\ncontains\nsubroutine f1()\na = shared\nend subroutine\nend module dup\nmodule dup\nreal(r8) :: b, shared\ncontains\nsubroutine f2()\nb = shared + a\nend subroutine\nend module dup\nmodule user\nuse dup\ncontains\nsubroutine s()\nreal(r8) :: r\nr = a + b + shared\nend subroutine\nend module user"
+  in
+  let mg = MG.build prog in
+  let an = A.analyze prog in
+  let res = an.A.resolution in
+  let key ~module_ ~sub name =
+    match R.lookup_var res ~module_ ~sub name with
+    | Some { R.sym_kind = R.Smodule_var { owner; _ }; sym_name; _ } -> (owner, "", sym_name)
+    | Some _ | None -> (module_, sub, name)
+  in
+  let node (module_, sub, name) =
+    match MG.find_node mg ~module_ ~sub ~name with
+    | Some id -> id
+    | None -> Alcotest.failf "no metagraph node %s|%s|%s" module_ sub name
+  in
+  List.iter
+    (fun (module_, sub, lhs, srcs) ->
+      let dst = node (key ~module_ ~sub lhs) in
+      List.iter
+        (fun src ->
+          check_bool
+            (Printf.sprintf "%s/%s: %s -> %s" module_ sub src lhs)
+            true
+            (Rca_graph.Digraph.mem_edge mg.MG.graph (node (key ~module_ ~sub src)) dst))
+        srcs)
+    [
+      ("dup", "f1", "a", [ "shared" ]);
+      ("dup", "f2", "b", [ "shared"; "a" ]);
+      ("user", "s", "r", [ "a"; "b"; "shared" ]);
+    ];
+  Alcotest.(check (triple string string string))
+    "use dup imports the last dup's b" ("dup", "", "b") (key ~module_:"user" ~sub:"s" "b");
+  Alcotest.(check (triple string string string))
+    "the first dup's a is not imported" ("user", "s", "a") (key ~module_:"user" ~sub:"s" "a");
+  check_bool "oracle agrees" true (Oracle.ok (A.check_oracle an mg))
+
 (* --- strict types: typecheck -------------------------------------------------------- *)
 
 let strict_kind k src = of_kind k (analyze_strict src).A.diags
@@ -606,6 +649,8 @@ let () =
           Alcotest.test_case "undeclared goes implicit" `Quick
             resolver_undeclared_name_goes_implicit;
           Alcotest.test_case "signature round-trip" `Quick resolver_signature_roundtrip;
+          Alcotest.test_case "duplicate module names agree" `Quick
+            resolver_duplicate_module_agrees;
         ] );
       ( "typecheck",
         [

@@ -1,5 +1,6 @@
 (* Tests for the rca_fortran library: source handling, lexer, parser,
-   pretty-printer round trips and the relaxed fallback parsers. *)
+   pretty-printer round trips, the relaxed fallback parsers and the
+   name-visibility table. *)
 
 open Rca_fortran
 
@@ -602,6 +603,89 @@ let qcheck_cases =
       prop_module_roundtrip;
     ]
 
+(* --- Visibility ------------------------------------------------------------- *)
+
+let visibility_program =
+  Parser.parse_file ~strict:false ~file:"vis.F90"
+    {|
+module a
+  real(r8) :: x, y
+  interface gen
+    module procedure g1, g2
+  end interface
+contains
+  subroutine f(v)
+    real(r8) :: v
+  end subroutine f
+  subroutine g1(v)
+    real(r8) :: v
+  end subroutine g1
+  subroutine g2(v, w)
+    real(r8) :: v, w
+  end subroutine g2
+end module a
+module b
+  use a, only: z => x, f
+  real(r8) :: own_b
+end module b
+module c
+  use b
+  use nosuch
+  real(r8) :: own_c
+end module c
+module d
+  use a
+end module d
+|}
+
+let vis_scope name = Visibility.scope (Visibility.of_program visibility_program) name
+
+let callable_names cands =
+  List.map
+    (fun { Visibility.c_module; c_sub } -> c_module ^ "." ^ c_sub.Ast.s_name)
+    cands
+
+let visibility_only_and_rename () =
+  let b = vis_scope "b" in
+  Alcotest.(check (option (pair string string))) "renamed import" (Some ("a", "x"))
+    (Visibility.var b "z");
+  Alcotest.(check (option (pair string string))) "remote name hidden" None (Visibility.var b "x");
+  Alcotest.(check (option (pair string string))) "outside the only list" None
+    (Visibility.var b "y");
+  Alcotest.(check (option (pair string string))) "own variable" (Some ("b", "own_b"))
+    (Visibility.var b "own_b");
+  check_slist "listed procedure" [ "a.f" ] (callable_names (Visibility.callables b "f"));
+  check_slist "interface not listed" [] (callable_names (Visibility.callables b "gen"))
+
+let visibility_no_chaining () =
+  let c = vis_scope "c" in
+  Alcotest.(check (option (pair string string))) "b's own variable" (Some ("b", "own_b"))
+    (Visibility.var c "own_b");
+  Alcotest.(check (option (pair string string))) "b's import is not re-exported" None
+    (Visibility.var c "z");
+  check_slist "nor b's imported procedure" [] (callable_names (Visibility.callables c "f"))
+
+let visibility_interface_candidates () =
+  check_slist "own interface" [ "a.g1"; "a.g2" ]
+    (callable_names (Visibility.callables (vis_scope "a") "gen"));
+  let d = vis_scope "d" in
+  check_slist "imported interface" [ "a.g1"; "a.g2" ]
+    (callable_names (Visibility.callables d "gen"));
+  check_slist "imported procedure" [ "a.g2" ] (callable_names (Visibility.callables d "g2"));
+  Alcotest.(check (option (pair string string))) "every variable" (Some ("a", "y"))
+    (Visibility.var d "y")
+
+let visibility_unknown_use_target () =
+  let c = vis_scope "c" in
+  Alcotest.(check (option (pair string string))) "own names still visible"
+    (Some ("c", "own_c")) (Visibility.var c "own_c");
+  let missing = vis_scope "nosuch" in
+  Alcotest.(check (option (pair string string))) "absent module is empty" None
+    (Visibility.var missing "x");
+  check_slist "no callables" [] (callable_names (Visibility.callables missing "f"));
+  check_bool "intrinsic" true (Visibility.is_intrinsic "max");
+  check_bool "not intrinsic" false (Visibility.is_intrinsic "gen")
+
 let () =
   Alcotest.run "rca_fortran"
     [
@@ -661,6 +745,13 @@ let () =
           Alcotest.test_case "parens" `Quick relaxed_split_respects_parens;
           Alcotest.test_case "non-assignments" `Quick relaxed_split_none_for_conditions;
           Alcotest.test_case "derived type" `Quick relaxed_deep_derived_type;
+        ] );
+      ( "visibility",
+        [
+          Alcotest.test_case "only and rename" `Quick visibility_only_and_rename;
+          Alcotest.test_case "no chaining" `Quick visibility_no_chaining;
+          Alcotest.test_case "interface candidates" `Quick visibility_interface_candidates;
+          Alcotest.test_case "unknown use target" `Quick visibility_unknown_use_target;
         ] );
       ("properties", qcheck_cases);
     ]
