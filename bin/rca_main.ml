@@ -268,8 +268,7 @@ let trace_arg =
            Tracing never changes results.")
 
 let experiment_cmd =
-  let run config members runtime partitioner domains trace static_prune analysis_report
-      name =
+  let run config members runtime partitioner domains trace analysis_report name =
     match Experiments.find name with
     | None ->
         Printf.eprintf "unknown experiment %S (wsubbug|rand-mt|goffgratch|avx2|avx2-full|randombug|dyn3bug)\n" name;
@@ -282,7 +281,7 @@ let experiment_cmd =
             detector = (if runtime then Harness.Runtime else Harness.Simulated);
             partitioner;
             domains;
-            static_prune = static_prune || analysis_report <> None;
+            static_prune = analysis_report <> None;
           }
         in
         if trace <> None then Rca_obs.Obs.enable ();
@@ -317,29 +316,21 @@ let experiment_cmd =
             "Drive the iterative refinement with genuine runtime sampling instead of the \
              paper's simulated (reachability) sampling.")
   in
-  let static_prune_arg =
-    Arg.(
-      value & flag
-      & info [ "static-prune" ]
-          ~doc:
-            "Run the static dataflow analyzer over the covered program and prune \
-             statically-dead metagraph nodes before slicing.  Observationally safe: \
-             results are identical with and without it.")
-  in
   let analysis_report_arg =
     Arg.(
       value
       & opt (some string) None
       & info [ "analysis-report" ] ~docv:"PATH"
           ~doc:
-            "Write the static-analysis JSON report (diagnostics + oracle summary) to \
-             $(docv); implies the analysis runs even without $(b,--static-prune).")
+            "Run the static analyzer over the covered program and write its JSON \
+             report (diagnostics + oracle summary) to $(docv).  The analysis never \
+             changes the RCA.")
   in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Run one paper experiment end to end")
     Term.(
       const run $ scale_arg $ members_arg $ runtime_arg $ detector_arg $ domains_arg
-      $ trace_arg $ static_prune_arg $ analysis_report_arg $ name_arg)
+      $ trace_arg $ analysis_report_arg $ name_arg)
 
 (* --- campaign ---------------------------------------------------------------------- *)
 

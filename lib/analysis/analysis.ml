@@ -3,10 +3,9 @@
    One call builds scopes and interprocedural summaries, then per
    subprogram a CFG, def/use facts, the reaching-definitions and liveness
    fixed points, and the lint diagnostics.  The result also answers the
-   two integration questions the rest of the pipeline asks: which
-   metagraph nodes are statically dead (for pruning before slicing) and
-   whether the independently derived def-use pairs agree with the
-   metagraph (the differential oracle). *)
+   integration question the rest of the pipeline asks: whether the
+   independently derived def-use pairs agree with the metagraph (the
+   differential oracle). *)
 
 module Obs = Rca_obs.Obs
 module MG = Rca_metagraph.Metagraph
@@ -90,37 +89,6 @@ let analyze ?(strict_types = false) (prog : Rca_fortran.Ast.program) : t =
 
 let find_sub t ~module_ ~sub =
   List.find_opt (fun sa -> sa.sa_module = module_ && sa.sa_name = sub) t.subs
-
-(* ---- static dead nodes --------------------------------------------------------- *)
-
-(* Metagraph keys of variables whose value is provably irrelevant: never
-   read anywhere in their subprogram (not even by a havoc site) and not
-   escaping it.  Such a variable's node can only have incoming edges, so
-   dropping it cannot change any backward slice. *)
-let dead_var_keys (t : t) : (string * string * string) list =
-  List.concat_map
-    (fun sa ->
-      let used = Dataflow.used_vars sa.sa_flow in
-      List.filter_map
-        (fun (v : Scope.var) ->
-          if
-            (not (Scope.escapes v))
-            && (not (Dataflow.bs_get used v.Scope.v_id))
-            && Dataflow.var_defined sa.sa_flow v
-          then Some (Scope.metagraph_key sa.sa_scope v)
-          else None)
-        (Scope.vars sa.sa_scope))
-    t.subs
-  |> List.sort_uniq compare
-
-(* The same set resolved against a concrete metagraph, ready for
-   [Pipeline.run ?static_dead] (which re-checks out-degree and target
-   membership before actually pruning). *)
-let dead_node_ids (t : t) (mg : MG.t) : int list =
-  List.filter_map
-    (fun (module_, sub, name) -> MG.find_node mg ~module_ ~sub ~name)
-    (dead_var_keys t)
-  |> List.sort_uniq compare
 
 (* ---- oracle -------------------------------------------------------------------- *)
 

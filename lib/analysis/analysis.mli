@@ -5,10 +5,9 @@
    reaching-definitions and liveness fixed points, and the lint
    diagnostics.  With [~strict_types:true] the resolver-backed type
    checker ({!Typecheck}) and call-contract checker ({!Callcheck}) run
-   too.  The result also answers the two integration questions the rest
-   of the pipeline asks: which metagraph nodes are statically dead (for
-   pruning before slicing) and whether the independently derived def-use
-   pairs agree with the metagraph (the differential oracle). *)
+   too.  The result also answers the integration question the rest of
+   the pipeline asks: whether the independently derived def-use pairs
+   agree with the metagraph (the differential oracle). *)
 
 module MG = Rca_metagraph.Metagraph
 
@@ -32,13 +31,6 @@ type t = {
 val analyze : ?strict_types:bool -> Rca_fortran.Ast.program -> t
 
 val find_sub : t -> module_:string -> sub:string -> sub_analysis option
-
-(* Metagraph keys of variables whose value is provably irrelevant. *)
-val dead_var_keys : t -> (string * string * string) list
-
-(* The same set resolved against a concrete metagraph, ready for
-   [Pipeline.run ?static_dead]. *)
-val dead_node_ids : t -> MG.t -> int list
 
 val check_oracle : t -> MG.t -> Oracle.report
 

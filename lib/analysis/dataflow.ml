@@ -313,8 +313,6 @@ let defined_vars t =
     t.facts;
   defined
 
-let var_used t (v : Scope.var) = bs_get (used_vars t) v.Scope.v_id
-let var_defined t (v : Scope.var) = bs_get (defined_vars t) v.Scope.v_id
 
 (* Exposed for tests: the RD set entering a block, as def ids (pseudo ids
    are variable ids; real ids are n_vars + k). *)

@@ -43,8 +43,6 @@ val du_chains : t -> du_pair list
 
 val used_vars : t -> Bytes.t
 val defined_vars : t -> Bytes.t
-val var_used : t -> Scope.var -> bool
-val var_defined : t -> Scope.var -> bool
 
 (* Exposed for tests: RD set entering a block as def ids (pseudo ids are
    variable ids; real ids are n_vars + k), and live-out variable names. *)

@@ -3,8 +3,8 @@
    shared by slicing and every refinement iteration.  Node ids are the
    metagraph's own ids — no renumbering, no to_parent maps — and the
    current subgraph is a node-alive bitmask, so the removals of steps
-   8a/8b, drop_small_clusters and static pruning are byte flips instead
-   of Digraph.induced_subgraph rebuilds.
+   8a/8b and drop_small_clusters are byte flips instead of
+   Digraph.induced_subgraph rebuilds.
 
    Everything here is bit-compatible with the list-based path: the
    masked BFS/component kernels return the same node sets in the same

@@ -2,8 +2,8 @@
     the metagraph plus its transpose, shared by slicing and every
     refinement iteration.  Node ids are the metagraph's own ids, and the
     current subgraph is a node-alive {!Rca_graph.Csr.mask} — node
-    removal (steps 8a/8b, residual-cluster dropping, static pruning) is
-    a byte flip instead of an induced-subgraph rebuild.
+    removal (steps 8a/8b, residual-cluster dropping) is a byte flip
+    instead of an induced-subgraph rebuild.
 
     Bit-compatibility contract: every function returns exactly what the
     list-based path computes on the materialized induced subgraph,

@@ -4,7 +4,6 @@
    helpers the experiments and CLI print. *)
 
 module MG = Rca_metagraph.Metagraph
-module G = Rca_graph
 
 type t = {
   slice : Slice.t;
@@ -16,11 +15,11 @@ type t = {
 
    The metagraph is frozen into one Frozen.t CSR here (or the caller's
    snapshot is reused) and shared by the slice and every refinement
-   iteration; static pruning, module restriction, residual-cluster
-   dropping and the 8a/8b removals are all node-alive mask flips over
-   that one snapshot.  [engine] selects nothing. *)
+   iteration; module restriction, residual-cluster dropping and the
+   8a/8b removals are all node-alive mask flips over that one snapshot.
+   [engine] selects nothing. *)
 let run ?keep_module ?(min_cluster = 4) ?m_sample ?min_community ?max_iterations ?stop_size
-    ?gn_approx ?partitioner ?choose_when_stuck ?domains ?pool ?(static_dead = [])
+    ?gn_approx ?partitioner ?choose_when_stuck ?domains ?pool
     ?engine:(_ : Refine.engine option) ?frozen (mg : MG.t) ~outputs ~detect : t =
   Rca_obs.Obs.span' "pipeline.run"
     (fun t ->
@@ -33,44 +32,7 @@ let run ?keep_module ?(min_cluster = 4) ?m_sample ?min_community ?max_iterations
   @@ fun () ->
   (* the caller's snapshot (e.g. a loaded one) is shared across runs *)
   let frozen = match frozen with Some fz -> fz | None -> Frozen.freeze mg.MG.graph in
-  (* Static dead-node pruning: kill statically-dead nodes in the slice's
-     alive mask, which drops their incident edges.  Observational safety
-     is enforced here, not assumed: a nominated node is only pruned when
-     it has no outgoing edges (so it cannot lie on any path into the
-     backward closure) and is not itself a slicing target. *)
-  let exclude =
-    if static_dead = [] then []
-    else
-      Rca_obs.Obs.span' "pipeline.static_prune"
-        (fun dead ->
-          let before = G.Digraph.m mg.MG.graph in
-          let cut =
-            List.fold_left (fun acc d -> acc + G.Csr.out_degree frozen.Frozen.rev d) 0 dead
-          in
-          [
-            ("edges_before", Rca_obs.Obs.Int before);
-            ("edges_after", Rca_obs.Obs.Int (before - cut));
-          ])
-      @@ fun () ->
-      let targets =
-        Slice.target_nodes mg (Slice.internal_names_of_outputs mg outputs)
-      in
-      let is_target = Hashtbl.create 64 in
-      List.iter (fun id -> Hashtbl.replace is_target id ()) targets;
-      let dead =
-        List.filter
-          (fun id ->
-            id >= 0 && id < MG.n_nodes mg
-            && G.Digraph.out_degree mg.MG.graph id = 0
-            && not (Hashtbl.mem is_target id))
-          static_dead
-      in
-      Rca_obs.Obs.incr ~by:(List.length dead) "pipeline.static_dead_pruned";
-      Rca_obs.Obs.incr ~by:(List.length static_dead - List.length dead)
-        "pipeline.static_dead_rejected";
-      dead
-  in
-  let slice = Slice.of_outputs ?keep_module ~min_cluster ~frozen ~exclude mg outputs in
+  let slice = Slice.of_outputs ?keep_module ~min_cluster ~frozen mg outputs in
   let result =
     Refine.refine ?m_sample ?min_community ?max_iterations ?stop_size ?gn_approx
       ?partitioner ?choose_when_stuck ?domains ?pool ~frozen mg

@@ -21,7 +21,6 @@ val run :
   ?choose_when_stuck:(int list -> int list -> int option) ->
   ?domains:int ->
   ?pool:Rca_graph.Pool.t ->
-  ?static_dead:int list ->
   ?engine:Refine.engine ->
   ?frozen:Frozen.t ->
   MG.t ->
@@ -40,15 +39,10 @@ val run :
     oracle.  [domains] (default 1)
     parallelizes the refinement's community and centrality hot paths
     over a domain pool without changing results; [pool] shares an
-    existing pool across runs instead (overrides [domains]).
-    [static_dead] (default none) names metagraph nodes the static
-    analyzer proved dead; their incident edges are pruned before slicing.
-    Only nodes with no outgoing edges that are not slicing targets are
-    actually dropped, which makes the pruning observationally safe: the
-    slice, refinement and located bugs are identical with and without
-    it.  The metagraph is frozen into one {!Frozen.t} CSR here, and
-    static pruning, module restriction and every refinement removal are
-    node-alive mask flips on it.  [frozen] supplies an existing snapshot
+    existing pool across runs instead (overrides [domains]).  The
+    metagraph is frozen into one {!Frozen.t} CSR here, and module
+    restriction and every refinement removal are node-alive mask flips
+    on it.  [frozen] supplies an existing snapshot
     of [mg]'s graph instead — a query server loads one from disk once
     and shares it across every request; the caller must guarantee it
     matches [mg].  [engine] selects nothing (see {!Slice.engine}). *)

@@ -48,7 +48,7 @@ val of_internals :
     excluded modules (the CAM-only restriction); [min_cluster] drops
     weakly connected residual clusters below that size (the paper drops
     clusters of fewer than 4 nodes); [exclude] cuts individual nodes
-    (e.g. statically-dead ones) regardless of module.  [frozen] reuses
+    regardless of module.  [frozen] reuses
     an existing snapshot of [mg]'s graph (one per {!Pipeline.run})
     instead of freezing again. *)
 

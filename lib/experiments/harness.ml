@@ -32,8 +32,8 @@ type params = {
   partitioner : Rca_core.Refine.partitioner;  (* step-5 community detector *)
   domains : int;  (* domain-pool size for the refinement hot paths *)
   static_prune : bool;
-      (* run the static analyzer over the covered program and prune its
-         dead nodes before slicing (observationally safe) *)
+      (* run the static analyzer over the covered program and attach its
+         report; the analysis observes and never changes the RCA *)
 }
 
 let default_params config =
@@ -160,15 +160,10 @@ let run ?(validate_sampling = true) (spec : spec) (p : params) : report =
     if p.static_prune then Some (Rca_analysis.Analysis.analyze fixture.Fixture.covered_program)
     else None
   in
-  let static_dead =
-    match analysis with
-    | None -> []
-    | Some an -> Rca_analysis.Analysis.dead_node_ids an fixture.Fixture.mg
-  in
   let pipeline =
     Rca_core.Pipeline.run ~keep_module ~min_cluster:4 ~m_sample:p.m_sample
       ?gn_approx:(Option.map (fun x -> x) p.gn_approx)
-      ~stop_size:p.stop_size ~partitioner:p.partitioner ~domains:p.domains ~static_dead
+      ~stop_size:p.stop_size ~partitioner:p.partitioner ~domains:p.domains
       fixture.Fixture.mg ~outputs:affected_outputs ~detect
   in
   let sub = Rca_core.Slice.subgraph pipeline.Rca_core.Pipeline.slice in

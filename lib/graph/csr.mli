@@ -36,16 +36,6 @@ val of_rows : row:int array -> col:int array -> t
     Raises [Invalid_argument] on inconsistent bounds or out-of-range
     columns. *)
 
-val of_digraph_sub : Digraph.t -> int list -> t * int array
-(** [of_digraph_sub g nodes] is the CSR of the subgraph induced on
-    [nodes] (deduplicated, first occurrence wins — the same contract as
-    {!Digraph.induced_subgraph}) together with the [to_parent] map from
-    compact CSR ids back to [g]'s node ids.  Bitwise interchangeable
-    with [of_digraph (Digraph.induced_subgraph g nodes).graph]: rows
-    reproduce that sub-graph's adjacency order (which is reversed
-    relative to the parent, an artifact of prepend-based rebuilds), so
-    kernels agree float-for-float with the digraph-subgraph pipeline. *)
-
 val transpose : t -> t
 (** Arc-reversed view: row [v] lists the sources of arcs into [v], in
     ascending-source order (= global iteration order), which is exactly

@@ -85,7 +85,3 @@ let bfs_dist_rev_csr ~rev ~alive targets = bfs_dist_csr rev ~alive targets
 let ancestors_csr ~rev ~alive targets = mark_to_list (bfs_dist_rev_csr ~rev ~alive targets)
 
 let descendants g sources = mark_to_list (bfs_dist g sources)
-
-let reachable g ~from ~target =
-  let dist = bfs_dist g [ from ] in
-  dist.(target) <> no_dist

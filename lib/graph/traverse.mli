@@ -16,8 +16,6 @@ val bfs_dist : Digraph.t -> int list -> int array
 val descendants : Digraph.t -> int list -> int list
 (** Nodes reachable from any source (sources included), ascending. *)
 
-val reachable : Digraph.t -> from:int -> target:int -> bool
-
 (** {1 Masked-CSR variants}
 
     The same primitives over a frozen {!Csr} snapshot restricted to a

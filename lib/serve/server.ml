@@ -63,10 +63,13 @@ type stats = {
 type conn = {
   fd : Unix.file_descr;
   pending : Buffer.t;  (* bytes read but not yet terminated by \n *)
-  mutable out : string;  (* reply bytes accepted but not yet written *)
+  out : Buffer.t;  (* replies queued for the socket... *)
+  mutable out_off : int;  (* ...of which the first [out_off] bytes are written *)
   mutable alive : bool;
   mutable closing : bool;  (* no more reads; close once [out] is written *)
 }
+
+let unwritten conn = Buffer.length conn.out - conn.out_off
 
 let max_line_bytes = 1 lsl 20
 
@@ -300,7 +303,11 @@ let answer_json ~id ~cached ~coalesced ~elapsed_ms (a : Cache.answer) =
 
 let error_json ~id msg = J.Obj [ ("id", id); ("status", J.Str "error"); ("error", J.Str msg) ]
 
-let enqueue_reply conn v = if conn.alive then conn.out <- conn.out ^ J.to_string v ^ "\n"
+let enqueue_reply conn v =
+  if conn.alive then begin
+    Buffer.add_string conn.out (J.to_string v);
+    Buffer.add_char conn.out '\n'
+  end
 
 (* Deliver one finished computation to everyone waiting on its key and
    publish it to the LRU.  Runs on the reactor only. *)
@@ -473,13 +480,24 @@ let listener_of addr =
       Unix.set_nonblock fd;
       fd
 
-(* Write as much of a connection's out buffer as the socket accepts
-   right now; the select loop retries the rest when it turns writable. *)
-let flush_out conn =
-  if conn.alive && conn.out <> "" then begin
-    let b = Bytes.of_string conn.out in
-    match Unix.write conn.fd b 0 (Bytes.length b) with
-    | k -> conn.out <- String.sub conn.out k (String.length conn.out - k)
+(* Write as much of a connection's queued replies as the socket accepts
+   right now, one [scratch]-sized chunk at a time; the select loop
+   retries the rest when it turns writable.  Each byte is copied once
+   into [scratch] per write attempt and the queue is emptied once fully
+   written, so a client that pipelines many requests and reads slowly
+   costs copying linear in its replies. *)
+let rec flush_out scratch conn =
+  let len = min (unwritten conn) (Bytes.length scratch) in
+  if conn.alive && len > 0 then begin
+    Buffer.blit conn.out conn.out_off scratch 0 len;
+    match Unix.write conn.fd scratch 0 len with
+    | k ->
+        conn.out_off <- conn.out_off + k;
+        if unwritten conn = 0 then begin
+          Buffer.clear conn.out;
+          conn.out_off <- 0
+        end
+        else if k = len then flush_out scratch conn
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
     | exception (Unix.Unix_error _ | Sys_error _) -> conn.alive <- false
   end
@@ -521,26 +539,37 @@ let drain_notify st =
 
 let read_chunk_size = 65536
 
+(* How long the reactor stops accepting after [accept] fails, e.g. with
+   EMFILE: the pending client waits in the listen backlog instead of
+   the loop spinning on a listener that stays readable. *)
+let accept_backoff_s = 0.05
+
 let serve_loop ?cache_save_every st listener =
   let conns = ref [] in
   let buf = Bytes.create read_chunk_size in
+  let scratch = Bytes.create read_chunk_size in
   let next_save =
     ref (match cache_save_every with None -> None | Some s -> Some (Unix.gettimeofday () +. s))
   in
+  let accept_resume = ref None in
   while st.running do
+    (match !accept_resume with
+    | Some t when Unix.gettimeofday () >= t -> accept_resume := None
+    | _ -> ());
     let rfds =
-      st.notify_r :: listener
-      :: List.filter_map (fun c -> if c.closing then None else Some c.fd) !conns
+      st.notify_r
+      :: ((if !accept_resume = None then [ listener ] else [])
+         @ List.filter_map (fun c -> if c.closing then None else Some c.fd) !conns)
     in
-    let wfds = List.filter_map (fun c -> if c.out <> "" then Some c.fd else None) !conns in
+    let wfds = List.filter_map (fun c -> if unwritten c > 0 then Some c.fd else None) !conns in
     let timeout =
-      match !next_save with
-      | None -> -1.0
-      | Some t -> max 0.0 (t -. Unix.gettimeofday ())
+      match List.filter_map Fun.id [ !next_save; !accept_resume ] with
+      | [] -> -1.0
+      | wake_at -> max 0.0 (List.fold_left min infinity wake_at -. Unix.gettimeofday ())
     in
     (match Unix.select rfds wfds [] timeout with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | readable, writable, _ ->
+    | readable, _, _ ->
         if List.mem st.notify_r readable then drain_notify st;
         (* finished jobs first: their replies join this round's writes *)
         process_completions st;
@@ -552,12 +581,25 @@ let serve_loop ?cache_save_every st listener =
             match Unix.accept listener with
             | fd, _ ->
                 Unix.set_nonblock fd;
-                conns :=
-                  !conns
-                  @ [ { fd; pending = Buffer.create 256; out = ""; alive = true; closing = false } ];
+                let conn =
+                  {
+                    fd;
+                    pending = Buffer.create 256;
+                    out = Buffer.create 256;
+                    out_off = 0;
+                    alive = true;
+                    closing = false;
+                  }
+                in
+                conns := !conns @ [ conn ];
                 accept_all ()
             | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN), _, _) -> ()
             | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_all ()
+            | exception Unix.Unix_error _ ->
+                (* EMFILE/ENFILE (no descriptor left), ECONNABORTED, ...:
+                   never fatal — existing clients keep being served and
+                   accepting resumes after a short pause *)
+                accept_resume := Some (Unix.gettimeofday () +. accept_backoff_s)
           in
           accept_all ()
         end;
@@ -590,13 +632,11 @@ let serve_loop ?cache_save_every st listener =
           (List.rev !batch);
         (* opportunistic flush: newly-ready replies usually fit the
            socket buffer, so most rounds never wait for writability *)
-        List.iter
-          (fun conn -> if List.mem conn.fd writable || conn.out <> "" then flush_out conn)
-          !conns;
+        List.iter (flush_out scratch) !conns;
         conns :=
           List.filter
             (fun conn ->
-              if conn.alive && not (conn.closing && conn.out = "") then true
+              if conn.alive && not (conn.closing && unwritten conn = 0) then true
               else begin
                 (try Unix.close conn.fd with Unix.Unix_error _ -> ());
                 false
@@ -620,14 +660,16 @@ let serve_loop ?cache_save_every st listener =
   process_completions st;
   let flush_deadline = Unix.gettimeofday () +. 5.0 in
   while
-    List.exists (fun c -> c.alive && c.out <> "") !conns
+    List.exists (fun c -> c.alive && unwritten c > 0) !conns
     && Unix.gettimeofday () < flush_deadline
   do
-    let wfds = List.filter_map (fun c -> if c.alive && c.out <> "" then Some c.fd else None) !conns in
+    let wfds =
+      List.filter_map (fun c -> if c.alive && unwritten c > 0 then Some c.fd else None) !conns
+    in
     (match Unix.select [] wfds [] 0.25 with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | _ -> ());
-    List.iter flush_out !conns
+    List.iter (flush_out scratch) !conns
   done;
   List.iter (fun conn -> try Unix.close conn.fd with Unix.Unix_error _ -> ()) !conns
 

@@ -2,10 +2,9 @@
    masked-CSR engine in lib/core.
 
    Every node-set computation here materializes what it works on —
-   breadth-first searches over [Digraph.pred], an induced subgraph per
-   ancestor closure (at least three rebuilds per refinement iteration),
-   and a pruned metagraph copy for static dead-node pruning.  The masked
-   engine does the same work as node-alive mask flips over one frozen
+   breadth-first searches over [Digraph.pred] and an induced subgraph per
+   ancestor closure (at least three rebuilds per refinement iteration).
+   The masked engine does the same work as node-alive mask flips over one frozen
    CSR; slices, every refinement iteration, final node sets and outcomes
    must agree bitwise.  Community detection and centrality are shared
    with lib/core ([Refine.communities_of] and [Refine.central_nodes]
@@ -18,13 +17,13 @@ module Slice = Rca_core.Slice
 module Refine = Rca_core.Refine
 module Pipeline = Rca_core.Pipeline
 
-(* --- static pruning ---------------------------------------------------------- *)
+(* --- pruned copies ------------------------------------------------------------ *)
 
 (* A copy of the metagraph without the edges incident to [dead] nodes.
    Surviving successor lists keep their order: [add_edge] prepends, so
    the edges are added in reverse iteration order.  A copy that reversed
    them would reorder Brandes' float sums and can change a Girvan–Newman
-   split, so pruning would no longer be observationally safe. *)
+   split of the copy. *)
 let without_nodes (mg : MG.t) ~(dead : int list) : MG.t =
   let is_dead = Hashtbl.create (List.length dead * 2 + 1) in
   List.iter (fun id -> Hashtbl.replace is_dead id ()) dead;
@@ -178,28 +177,10 @@ let refine ?(m_sample = 10) ?(min_community = 3) ?(max_iterations = 10) ?(stop_s
 
 (* --- end to end -------------------------------------------------------------- *)
 
-(* [Pipeline.run] with the same parameters and defaults: static pruning
-   builds a pruned metagraph copy, and slicing and refinement run on
-   it. *)
+(* [Pipeline.run] with the same parameters and defaults. *)
 let pipeline_run ?keep_module ?(min_cluster = 4) ?m_sample ?min_community ?max_iterations
-    ?stop_size ?gn_approx ?partitioner ?choose_when_stuck ?domains ?pool ?(static_dead = [])
-    (mg : MG.t) ~outputs ~detect : Pipeline.t =
-  let mg =
-    if static_dead = [] then mg
-    else begin
-      (* the pipeline's safety rule: only sinks that are not targets *)
-      let targets = Slice.target_nodes mg (Slice.internal_names_of_outputs mg outputs) in
-      let dead =
-        List.filter
-          (fun id ->
-            id >= 0 && id < MG.n_nodes mg
-            && G.Digraph.out_degree mg.MG.graph id = 0
-            && not (List.mem id targets))
-          static_dead
-      in
-      without_nodes mg ~dead
-    end
-  in
+    ?stop_size ?gn_approx ?partitioner ?choose_when_stuck ?domains ?pool (mg : MG.t) ~outputs
+    ~detect : Pipeline.t =
   let slice = slice_of_outputs ?keep_module ~min_cluster mg outputs in
   let result =
     refine ?m_sample ?min_community ?max_iterations ?stop_size ?gn_approx ?partitioner

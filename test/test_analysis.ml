@@ -1,7 +1,8 @@
 (* Tests for rca_analysis: CFG construction, reaching-definitions and
    liveness fixed points, the diagnostics engine (each kind seeded and
    clean), conservative havoc for Unparsed statements, the differential
-   metagraph oracle, and observational safety of static pruning. *)
+   metagraph oracle, observational safety of the analyzer attached to an
+   RCA run, and pinned front-end digests. *)
 
 open Rca_fortran
 module A = Rca_analysis.Analysis
@@ -281,19 +282,12 @@ let oracle_mismatch_has_provenance () =
       check_int "line" 5 m.Oracle.mis_pair.Oracle.p_line
   | ms -> Alcotest.failf "expected one mismatch, got %d" (List.length ms)
 
-(* --- static pruning --------------------------------------------------------------- *)
-
-let dead_var_detection_is_precise () =
-  let an =
-    analyze
-      "module m\nreal(r8) :: out_v\ncontains\nsubroutine s()\nreal(r8) :: deadl, livel\ndeadl = 1.0\nlivel = 2.0\nout_v = livel\nend subroutine\nend module m"
-  in
-  Alcotest.(check (list (triple string string string)))
-    "only the never-read local" [ ("m", "s", "deadl") ] (A.dead_var_keys an)
+(* --- analysis attached to an RCA run ------------------------------------------------ *)
 
 let static_prune_observationally_safe () =
-  (* Acceptance criterion: the GOFFGRATCH pipeline outcome is identical
-     with and without static dead-node pruning. *)
+  (* [Harness.static_prune] runs the analyzer over the covered program
+     and attaches its report: the GOFFGRATCH pipeline outcome must be
+     identical with and without it. *)
   let open Rca_experiments in
   let params =
     {
@@ -303,18 +297,18 @@ let static_prune_observationally_safe () =
     }
   in
   let base = Harness.run ~validate_sampling:false Experiments.goffgratch params in
-  let pruned =
+  let attached =
     Harness.run ~validate_sampling:false Experiments.goffgratch
       { params with Harness.static_prune = true }
   in
-  check_int "slice nodes" base.Harness.slice_nodes pruned.Harness.slice_nodes;
-  check_int "slice edges" base.Harness.slice_edges pruned.Harness.slice_edges;
-  check_int "refine iterations" (Harness.iteration_count base) (Harness.iteration_count pruned);
+  check_int "slice nodes" base.Harness.slice_nodes attached.Harness.slice_nodes;
+  check_int "slice edges" base.Harness.slice_edges attached.Harness.slice_edges;
+  check_int "refine iterations" (Harness.iteration_count base) (Harness.iteration_count attached);
   Alcotest.(check (list int)) "final candidate set"
     (List.sort compare base.Harness.pipeline.Rca_core.Pipeline.result.Rca_core.Refine.final_nodes)
-    (List.sort compare pruned.Harness.pipeline.Rca_core.Pipeline.result.Rca_core.Refine.final_nodes);
-  check_bool "bugs located" base.Harness.bugs_located pruned.Harness.bugs_located;
-  check_bool "analysis attached when pruning" true (pruned.Harness.analysis <> None)
+    (List.sort compare attached.Harness.pipeline.Rca_core.Pipeline.result.Rca_core.Refine.final_nodes);
+  check_bool "bugs located" base.Harness.bugs_located attached.Harness.bugs_located;
+  check_bool "analysis attached" true (attached.Harness.analysis <> None)
 
 (* --- pinned front-end digests ---------------------------------------------------------- *)
 
@@ -622,7 +616,6 @@ let () =
         ] );
       ( "pruning",
         [
-          Alcotest.test_case "dead vars precise" `Quick dead_var_detection_is_precise;
           Alcotest.test_case "observational safety" `Quick static_prune_observationally_safe;
         ] );
       ( "report",

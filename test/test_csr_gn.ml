@@ -123,21 +123,6 @@ let csr_rev_and_arc_id () =
   check_int "absent arc" (-1) (Csr.arc_id csr 0 3);
   check_int "absent arc (isolated)" (-1) (Csr.arc_id csr 4 0)
 
-let csr_sub_matches_induced () =
-  let g = fixture_graph () in
-  (* duplicates must dedup to first occurrence, like induced_subgraph *)
-  let nodes = [ 3; 1; 3; 0; 2 ] in
-  let csr, to_parent = Csr.of_digraph_sub g nodes in
-  let sub = Digraph.induced_subgraph g nodes in
-  let direct = Csr.of_digraph sub.Digraph.graph in
-  check_int "sub n" direct.Csr.n csr.Csr.n;
-  check_int "sub m" direct.Csr.m csr.Csr.m;
-  Alcotest.(check (array int)) "sub row" direct.Csr.row csr.Csr.row;
-  Alcotest.(check (array int)) "sub col" direct.Csr.col csr.Csr.col;
-  Alcotest.(check (array int)) "sub src" direct.Csr.src csr.Csr.src;
-  Alcotest.(check (array int)) "sub rev" direct.Csr.rev csr.Csr.rev;
-  Alcotest.(check (array int)) "to_parent map" sub.Digraph.to_parent to_parent
-
 let csr_transpose_reverses_arcs () =
   let g = fixture_graph () in
   let csr = Csr.of_digraph g in
@@ -535,7 +520,6 @@ let () =
         [
           Alcotest.test_case "mirrors digraph" `Quick csr_mirrors_digraph;
           Alcotest.test_case "rev + arc_id" `Quick csr_rev_and_arc_id;
-          Alcotest.test_case "of_digraph_sub = induced_subgraph" `Quick csr_sub_matches_induced;
           Alcotest.test_case "transpose" `Quick csr_transpose_reverses_arcs;
           Alcotest.test_case "alive mask = edge removal" `Quick alive_mask_equals_removal;
         ] );

@@ -117,11 +117,6 @@ let ancestors_union_of_targets () =
   let g = Digraph.of_edges ~n:6 [ (0, 1); (2, 3); (4, 5) ] in
   check_ilist "union" [ 0; 1; 2; 3 ] (Digraph_ref.ancestors g [ 1; 3 ])
 
-let reachability () =
-  let g = path5 () in
-  check_bool "forward" true (Traverse.reachable g ~from:0 ~target:4);
-  check_bool "backward" false (Traverse.reachable g ~from:4 ~target:0)
-
 (* --- Components ------------------------------------------------------------ *)
 
 let wcc_counts () =
@@ -514,7 +509,6 @@ let () =
           Alcotest.test_case "multi source" `Quick bfs_multi_source;
           Alcotest.test_case "ancestors" `Quick ancestors_are_backward_slice;
           Alcotest.test_case "ancestors union" `Quick ancestors_union_of_targets;
-          Alcotest.test_case "reachability" `Quick reachability;
         ] );
       ( "components",
         [

@@ -272,30 +272,23 @@ let pipeline_engines_identical () =
   (* End to end on the tiny model fixture: slice, every iteration, final
      nodes, outcome and located bugs agree between the masked pipeline
      and the list-engine oracle — with and without a reachability
-     detector, and with static-dead pruning (mask flips vs the oracle's
-     materialized pruned copy) in play. *)
+     detector. *)
   let fixture = Lazy.force tiny_fixture in
   let mg = fixture.Fixture.mg in
-  let dead =
-    (* every sink node is a legitimate static-dead nomination *)
-    List.filter
-      (fun v -> Digraph.out_degree mg.Rca_metagraph.Metagraph.graph v = 0)
-      (List.init (Rca_metagraph.Metagraph.n_nodes mg) Fun.id)
-  in
   List.iter
-    (fun (label, bug_nodes, static_dead) ->
+    (fun (label, bug_nodes) ->
       let detect =
         if bug_nodes = [] then Rca_core.Detector.never
         else Rca_core.Detector.reachability mg ~bug_nodes
       in
       let outputs = [ "aqsnow"; "cloud" ] in
       let a =
-        List_engine.pipeline_run ~min_cluster:2 ~stop_size:2 ~max_iterations:3 ~static_dead
-          mg ~outputs ~detect
+        List_engine.pipeline_run ~min_cluster:2 ~stop_size:2 ~max_iterations:3 mg ~outputs
+          ~detect
       in
       let b =
-        Rca_core.Pipeline.run ~min_cluster:2 ~stop_size:2 ~max_iterations:3 ~static_dead mg
-          ~outputs ~detect
+        Rca_core.Pipeline.run ~min_cluster:2 ~stop_size:2 ~max_iterations:3 mg ~outputs
+          ~detect
       in
       Alcotest.(check (list int))
         (label ^ ": slice nodes")
@@ -311,11 +304,7 @@ let pipeline_engines_identical () =
         (label ^ ": located bugs")
         (Rca_core.Pipeline.located_bugs mg a ~bug_nodes)
         (Rca_core.Pipeline.located_bugs mg b ~bug_nodes))
-    [
-      ("never", [], []);
-      ("reachability", [ 0 ], []);
-      ("static-dead", [ 0 ], dead);
-    ]
+    [ ("never", []); ("reachability", [ 0 ]) ]
 
 (* --- masked engine = list-engine oracle ------------------------------------------- *)
 
@@ -417,16 +406,14 @@ let prop_slice_engines_identical =
              && Rca_core.Slice.contains a v = Rca_core.Slice.contains b v)
            (List.init n Fun.id))
 
-(* The narrowing fallback and static pruning against the oracle.  An
-   everything-differs detector makes 8b keep the sampled nodes' whole
-   ancestor closure, which on these graphs is often the whole node set:
-   a non-refining step, where [choose_when_stuck] narrows to one node's
-   closure (masked reverse BFS vs the oracle's induced-subgraph
-   rebuild).  Both choosers run.  The pipeline half nominates every
-   even node as statically dead: sinks that are not targets get pruned,
-   the rest must be rejected, identically on both engines.  [fired]
-   counts chooser calls. *)
-let choosers_and_static_dead_agree ~fired g =
+(* The narrowing fallback against the oracle.  An everything-differs
+   detector makes 8b keep the sampled nodes' whole ancestor closure,
+   which on these graphs is often the whole node set: a non-refining
+   step, where [choose_when_stuck] narrows to one node's closure (masked
+   reverse BFS vs the oracle's induced-subgraph rebuild).  Both choosers
+   run, in refinement alone and end to end through the pipeline.
+   [fired] counts chooser calls. *)
+let choosers_agree ~fired g =
   let mg = synthetic_mg g in
   let n = Digraph.n g in
   let initial = List.init n Fun.id in
@@ -451,25 +438,24 @@ let choosers_and_static_dead_agree ~fired g =
     choosers
   &&
   (Hashtbl.replace mg.MG.io_map "out" [ "v0"; Printf.sprintf "v%d" (n - 1) ];
-   let static_dead = List.filter (fun v -> v mod 2 = 0) initial in
    let detect = Rca_core.Detector.of_differing_set (List.filter (fun v -> v mod 5 = 0) initial) in
    let choose_when_stuck = List.hd choosers and outputs = [ "out" ] in
    let a =
-     List_engine.pipeline_run ~min_cluster:2 ~stop_size:2 ~max_iterations:3 ~static_dead
-       ~choose_when_stuck mg ~outputs ~detect
+     List_engine.pipeline_run ~min_cluster:2 ~stop_size:2 ~max_iterations:3 ~choose_when_stuck
+       mg ~outputs ~detect
    in
    let b =
-     Rca_core.Pipeline.run ~min_cluster:2 ~stop_size:2 ~max_iterations:3 ~static_dead
-       ~choose_when_stuck mg ~outputs ~detect
+     Rca_core.Pipeline.run ~min_cluster:2 ~stop_size:2 ~max_iterations:3 ~choose_when_stuck mg
+       ~outputs ~detect
    in
    a.Rca_core.Pipeline.slice.Rca_core.Slice.nodes = b.Rca_core.Pipeline.slice.Rca_core.Slice.nodes
    && a.Rca_core.Pipeline.slice.Rca_core.Slice.targets
       = b.Rca_core.Pipeline.slice.Rca_core.Slice.targets
    && a.Rca_core.Pipeline.result = b.Rca_core.Pipeline.result)
 
-let prop_choosers_and_static_dead =
-  QCheck2.Test.make ~name:"masked = list oracle (choose_when_stuck, static_dead)" ~count:20
-    graph_gen (choosers_and_static_dead_agree ~fired:(ref 0))
+let prop_choosers =
+  QCheck2.Test.make ~name:"masked = list oracle (choose_when_stuck)" ~count:20 graph_gen
+    (choosers_agree ~fired:(ref 0))
 
 (* The property above only means something if the fallback runs: on a
    fixed set of graphs it must be called. *)
@@ -478,7 +464,7 @@ let choosers_exercised () =
   for seed = 0 to 9 do
     let g = Gen.gnm ~seed ~n:30 ~m:75 in
     check_bool (Printf.sprintf "seed %d agrees" seed) true
-      (choosers_and_static_dead_agree ~fired g)
+      (choosers_agree ~fired g)
   done;
   check_bool "choose_when_stuck was called" true (!fired > 0)
 
@@ -499,7 +485,7 @@ let engine_qcheck_cases =
       prop_refine_engines_identical;
       prop_refine_engines_identical_approx;
       prop_slice_engines_identical;
-      prop_choosers_and_static_dead;
+      prop_choosers;
     ]
 
 let () =

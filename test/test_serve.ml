@@ -4,7 +4,8 @@
    masked pipeline and on the list-engine oracle), rejection of damaged
    snapshot files, and a forked query-daemon end-to-end exercise
    including garbage requests (the daemon must answer an error object
-   and keep serving). *)
+   and keep serving), a pipelining slow reader, and a daemon run out of
+   file descriptors. *)
 
 open Rca_experiments
 module MG = Rca_metagraph.Metagraph
@@ -819,6 +820,147 @@ let daemon_v1_sidecar_starts_cold () =
      Unix.rmdir dir
    with Sys_error _ | Unix.Unix_error _ -> ())
 
+(* One line from a raw socket, or [None] once SO_RCVTIMEO expires. *)
+let read_line_raw fd =
+  let line = Buffer.create 64 and b = Bytes.create 1 in
+  let rec go () =
+    match Unix.read fd b 0 1 with
+    | 0 -> None
+    | _ when Bytes.get b 0 = '\n' -> Some (Buffer.contents line)
+    | _ ->
+        Buffer.add_char line (Bytes.get b 0);
+        go ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> None
+  in
+  go ()
+
+let raw_connect sock =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX sock);
+  fd
+
+let write_all fd s = ignore (Unix.write_substring fd s 0 (String.length s))
+
+let reply_id line =
+  match J.of_string line with
+  | Ok r -> Option.bind (J.member "id" r) J.string_opt
+  | Error msg -> Alcotest.failf "unparseable reply %S: %s" line msg
+
+(* One connection pipelines 2,000 pings in a single write and reads the
+   replies back in small, slow reads: every reply arrives, in order.
+   The padded ids make the replies outgrow the socket buffer, so the
+   daemon writes them across many partial writes. *)
+let daemon_pipelined_slow_reader () =
+  with_daemon_at (fun sock conn ->
+      let n = 2000 and pad = String.make 120 'x' in
+      let id i = Printf.sprintf "%04d-%s" i pad in
+      let fd = raw_connect sock in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+          let requests = Buffer.create (n * 160) in
+          for i = 0 to n - 1 do
+            Buffer.add_string requests
+              (J.to_string (J.Obj [ ("op", J.Str "ping"); ("id", J.Str (id i)) ]));
+            Buffer.add_char requests '\n'
+          done;
+          write_all fd (Buffer.contents requests);
+          let got = Buffer.create (n * 160) and chunk = Bytes.create 4096 in
+          let lines () = List.length (String.split_on_char '\n' (Buffer.contents got)) - 1 in
+          while lines () < n do
+            Unix.sleepf 0.002;
+            match Unix.read fd chunk 0 (Bytes.length chunk) with
+            | 0 -> Alcotest.failf "connection closed after %d replies" (lines ())
+            | k -> Buffer.add_subbytes got chunk 0 k
+            | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+                Alcotest.failf "stalled after %d replies" (lines ())
+          done;
+          let ids =
+            String.split_on_char '\n' (Buffer.contents got)
+            |> List.filter (fun l -> l <> "")
+            |> List.map reply_id
+          in
+          check_int "every ping answered" n (List.length ids);
+          check_bool "replies in request order" true
+            (ids = List.init n (fun i -> Some (id i))));
+      let ping = reply conn [ ("op", J.Str "ping") ] in
+      check_bool "other client still served" true (status ping = Some "ok"))
+
+(* A daemon started with a 24-descriptor limit (set with [ulimit] in its
+   own shell, no machine setting touched) is sent more clients than it
+   has descriptors.  [accept] fails once the table is full; the daemon
+   must keep serving the clients it has and resume accepting once
+   descriptors free up. *)
+let daemon_survives_descriptor_exhaustion () =
+  let snap_path = Filename.temp_file "rca_snap_test" ".rcasnap" in
+  Snap.save snap_path (Lazy.force compiled);
+  let dir = Filename.temp_file "rca_serve_fd" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let sock = Filename.concat dir "rca.sock" in
+  let exe = Filename.concat (Filename.dirname Sys.executable_name) "../bin/rca_main.exe" in
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let child =
+    Unix.create_process "/bin/sh"
+      [| "sh"; "-c"; {|ulimit -n 24 && exec "$0" serve "$1" --socket "$2"|}; exe; snap_path; sock |]
+      Unix.stdin devnull devnull
+  in
+  Unix.close devnull;
+  let extras = ref [] in
+  let close_extras () =
+    List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !extras;
+    extras := []
+  in
+  let rec connect attempts =
+    match Client.connect (`Unix sock) with
+    | conn -> conn
+    | exception Unix.Unix_error _ when attempts > 0 ->
+        Unix.sleepf 0.05;
+        connect (attempts - 1)
+  in
+  let exited = ref false in
+  Fun.protect
+    ~finally:(fun () ->
+      close_extras ();
+      if not !exited then begin
+        (try Unix.kill child Sys.sigkill with Unix.Unix_error _ -> ());
+        ignore (Unix.waitpid [] child)
+      end;
+      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ sock; snap_path ];
+      try Unix.rmdir dir with Unix.Unix_error _ -> ())
+    (fun () ->
+      let conn = connect 200 in
+      check_bool "first client served" true
+        (status (reply conn [ ("op", J.Str "ping") ]) = Some "ok");
+      let n = 40 in
+      for i = 0 to n - 1 do
+        let fd = raw_connect sock in
+        extras := !extras @ [ fd ];
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 1.0;
+        write_all fd (J.to_string (J.Obj [ ("op", J.Str "ping"); ("id", J.num i) ]) ^ "\n")
+      done;
+      (* the backlog is accepted in order: clients answer until the
+         first one the daemon had no descriptor for *)
+      let rec served = function
+        | fd :: rest when read_line_raw fd <> None -> 1 + served rest
+        | _ -> 0
+      in
+      let k = served !extras in
+      check_bool (Printf.sprintf "accept failed after %d of %d clients" k n) true (k < n);
+      check_bool "existing client still served" true
+        (status (reply conn [ ("op", J.Str "ping") ]) = Some "ok");
+      close_extras ();
+      let late = connect 200 in
+      check_bool "accepting resumes once descriptors free up" true
+        (status (reply late [ ("op", J.Str "ping") ]) = Some "ok");
+      Client.close late;
+      ignore (Client.request conn (J.Obj [ ("op", J.Str "shutdown") ]));
+      Client.close conn;
+      let _, st = Unix.waitpid [] child in
+      exited := true;
+      check_bool "clean exit" true (st = Unix.WEXITED 0))
+
 let daemon_empty_targets_default () =
   with_daemon (fun conn ->
       let q = reply conn [ ("op", J.Str "query"); ("detector", J.Str "greedy") ] in
@@ -873,5 +1015,8 @@ let () =
           Alcotest.test_case "version-1 sidecar starts cold" `Quick
             daemon_v1_sidecar_starts_cold;
           Alcotest.test_case "empty targets use defaults" `Quick daemon_empty_targets_default;
+          Alcotest.test_case "pipelined slow reader" `Quick daemon_pipelined_slow_reader;
+          Alcotest.test_case "descriptor exhaustion" `Quick
+            daemon_survives_descriptor_exhaustion;
         ] );
     ]
