@@ -55,9 +55,7 @@ let compute_summaries (ps : program_scope) : summaries =
             | None -> ()
           in
           let intent_of_formal (c : Visibility.callable) formal =
-            List.find_opt
-              (fun (d : Ast.decl) -> d.Ast.d_name = formal)
-              c.c_sub.Ast.s_decls
+            List.find_opt (fun (d : Ast.decl) -> d.Ast.d_name = formal) c.c_sub.Ast.s_decls
             |> Option.map (fun d -> d.Ast.d_intent)
             |> Option.join
           in

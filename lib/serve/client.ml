@@ -18,15 +18,19 @@ type t = {
 }
 
 let connect (addr : Server.addr) =
-  match addr with
-  | `Unix path ->
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_UNIX path);
-      { fd; residue = ""; stash = [] }
-  | `Tcp port ->
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      { fd; residue = ""; stash = [] }
+  let domain, sockaddr =
+    match addr with
+    | `Unix path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path)
+    | `Tcp port -> (Unix.PF_INET, Unix.ADDR_INET (Unix.inet_addr_loopback, port))
+  in
+  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+  (* callers retry until a starting daemon listens: a failed attempt
+     must not leak its socket *)
+  (try Unix.connect fd sockaddr
+   with e ->
+     Unix.close fd;
+     raise e);
+  { fd; residue = ""; stash = [] }
 
 let send_line t line =
   let payload = line ^ "\n" in

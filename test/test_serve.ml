@@ -820,6 +820,25 @@ let daemon_v1_sidecar_starts_cold () =
      Unix.rmdir dir
    with Sys_error _ | Unix.Unix_error _ -> ())
 
+(* A connect that fails (no daemon listening yet) closes its socket:
+   the next descriptor the process opens reuses the lowest free number. *)
+let client_failed_connect_closes () =
+  let missing = Filename.concat (Filename.get_temp_dir_name ()) "rca-no-such-daemon.sock" in
+  let probe () =
+    let fd = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+    Unix.close fd;
+    fd
+  in
+  let before = probe () in
+  for _ = 1 to 3 do
+    match Client.connect (`Unix missing) with
+    | c ->
+        Client.close c;
+        Alcotest.fail "connected to a socket that does not exist"
+    | exception Unix.Unix_error _ -> ()
+  done;
+  check_bool "no descriptor leaked" true (probe () = before)
+
 (* One line from a raw socket, or [None] once SO_RCVTIMEO expires. *)
 let read_line_raw fd =
   let line = Buffer.create 64 and b = Bytes.create 1 in
@@ -1004,6 +1023,8 @@ let () =
           Alcotest.test_case "roundtrip and invalidation" `Quick
             cache_roundtrip_and_invalidation;
         ] );
+      ( "client",
+        [ Alcotest.test_case "failed connect closes" `Quick client_failed_connect_closes ] );
       ( "daemon",
         [
           Alcotest.test_case "query and cache" `Quick daemon_query_and_cache;
