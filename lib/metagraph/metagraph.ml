@@ -16,8 +16,9 @@
      conservative both-ways when unknown), function results flow back to
      the consuming expression;
    - interfaces conservatively connect every candidate procedure;
-   - use-statements resolve renames and only-lists; chained use is not
-     followed;
+   - use-statements resolve renames and only-lists through
+     Rca_fortran.Visibility, the table the analyzer reads too; chained
+     use is not followed;
    - intrinsics are localized per call site (min_<line>__<module>) to
      avoid spurious global hubs;
    - statements the structured parser left as [Unparsed] go through the
